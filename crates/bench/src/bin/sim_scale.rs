@@ -1,9 +1,8 @@
 //! Million-rank simulation capacity sweep: times the classic engine —
-//! the seed's binary heap of boxed closures, migration pinned off —
-//! against the calendar-queue fast path on the synthetic heterogeneous
-//! star (docs/simulation.md), executes one plan on the pooled
-//! gs-minimpi runtime, and writes the `BENCH_sim.json` document the
-//! docs and the bench gate reference.
+//! a binary heap of boxed closures — against the calendar-queue fast
+//! path on the synthetic heterogeneous star (docs/simulation.md),
+//! executes one plan on the pooled gs-minimpi runtime, and writes the
+//! `BENCH_sim.json` document the docs and the bench gate reference.
 //!
 //! The full sweep measures **each row in a fresh subprocess** (the
 //! binary re-execs itself with `--row P`): large rows leave the

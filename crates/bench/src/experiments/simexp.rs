@@ -1,6 +1,5 @@
 //! Million-rank simulation capacity sweep (`sim_scale` binary): times
-//! the classic engine — the seed's binary heap of boxed closures,
-//! migration pinned off — against the calendar-queue fast path
+//! the classic engine — a binary heap of boxed closures — against the calendar-queue fast path
 //! ([`gs_gridsim::simulate_star`]) on the deterministic synthetic star
 //! of docs/simulation.md, then executes one plan on the pooled
 //! gs-minimpi runtime and diffs the virtual clocks bit-for-bit.
@@ -84,8 +83,8 @@ pub struct SimScaleRow {
     /// Classic engine agreed with the fast path bit-for-bit (`true`
     /// whenever the classic engine ran, i.e. `classic_secs > 0`).
     pub identical: bool,
-    /// Classic engine (seed binary heap of boxed closures, migration
-    /// pinned off) wall seconds (0 = not run at this p).
+    /// Classic engine (binary heap of boxed closures) wall seconds
+    /// (0 = not run at this p).
     pub classic_secs: f64,
     /// Calendar-queue fast-path wall seconds.
     pub fast_secs: f64,
@@ -169,12 +168,9 @@ pub fn sim_scale_row(p: usize, items_per_rank: u64, classic: bool) -> SimScaleRo
             .collect();
         let view: Vec<&Processor> = procs.iter().collect();
         let counts_usize: Vec<usize> = counts.iter().map(|&c| c as usize).collect();
-        // Pin the heap so the baseline is the seed engine's data
-        // path, not the auto-migrating one this sweep exists to
-        // justify.
         let t = Instant::now();
         let classic =
-            simulate_scatter_on(&view, &counts_usize, &SimConfig::ideal(), Engine::with_heap_pinned());
+            simulate_scatter_on(&view, &counts_usize, &SimConfig::ideal(), Engine::new());
         let secs = t.elapsed().as_secs_f64();
         let same = classic.makespan.to_bits() == fast.makespan.to_bits()
             && classic.timeline == fast.timeline;

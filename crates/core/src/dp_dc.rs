@@ -34,7 +34,7 @@
 //!   full-scan kernel (counted by `dp_dc_column_fallbacks_total`).
 //!
 //! The per-cell work lives in `dp_kernel`, the column sweep in
-//! [`crate::parallel`] (each crossbeam chunk runs its own D&C
+//! [`crate::parallel`] (each worker chunk runs its own D&C
 //! recursion); this module is the serial single-call facade.
 //! Multi-threaded solves
 //! ([`crate::parallel::optimal_distribution_dc_parallel`]) are

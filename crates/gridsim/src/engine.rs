@@ -4,24 +4,14 @@
 //! event kinds — but genuinely event-driven so extensions (multi-port
 //! roots, overlapping rounds, failures) slot in without restructuring.
 //!
-//! Two queue backends share one pop order (strictly ascending
-//! `(time, seq)`, see `docs/simulation.md`):
-//!
-//! * a **binary heap** for tiny horizons — lowest constant factors when
-//!   only a few events are ever pending;
-//! * a **[calendar queue](crate::calendar)** for big horizons — amortised
-//!   O(1) per event, which is what lets [`crate::bigsim`] push past 10⁶
-//!   ranks.
-//!
-//! An engine starts on the heap and migrates to the calendar
-//! automatically once the pending count crosses
-//! [`Engine::MIGRATE_THRESHOLD`]; [`Engine::with_calendar`] forces the
-//! calendar from the start (the equivalence proptests use both).
+//! Pending events live in a binary heap popped in strictly ascending
+//! `(time, seq)` order (see `docs/simulation.md`). The heap beats the
+//! [calendar queue](crate::calendar) on every star this engine is used
+//! for; the calendar serves only the arena fast path
+//! ([`crate::bigsim`]), which is what takes simulation past 10⁶ ranks.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-
-use crate::calendar::CalendarQueue;
 
 /// What happened, for traces and Gantt rendering.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,26 +71,9 @@ impl PartialOrd for Pending {
     }
 }
 
-/// The pending-event queue: heap for tiny horizons, calendar beyond.
-enum Queue {
-    Heap(BinaryHeap<Pending>),
-    Calendar(CalendarQueue<Action>),
-}
-
-impl Queue {
-    fn len(&self) -> usize {
-        match self {
-            Queue::Heap(h) => h.len(),
-            Queue::Calendar(c) => c.len(),
-        }
-    }
-}
-
 /// The event engine: a virtual clock plus a queue of scheduled actions.
 pub struct Engine {
-    queue: Queue,
-    /// `true` disables heap→calendar migration (baseline measurements).
-    pinned: bool,
+    queue: BinaryHeap<Pending>,
     seq: u64,
     now: f64,
     peak: usize,
@@ -115,37 +88,9 @@ impl Default for Engine {
 }
 
 impl Engine {
-    /// Pending-event count beyond which a heap engine migrates to the
-    /// calendar queue.
-    pub const MIGRATE_THRESHOLD: usize = 1024;
-
-    /// A fresh engine at time zero (binary-heap backend until the
-    /// pending count crosses [`Engine::MIGRATE_THRESHOLD`]).
+    /// A fresh engine at time zero.
     pub fn new() -> Self {
-        Engine {
-            queue: Queue::Heap(BinaryHeap::new()),
-            pinned: false,
-            seq: 0,
-            now: 0.0,
-            peak: 0,
-            trace: Vec::new(),
-        }
-    }
-
-    /// A fresh engine forced onto the calendar-queue backend (no heap
-    /// phase, no migration). Pop order is identical to [`Engine::new`] —
-    /// `tests/proptest_simscale.rs` holds the two to that contract.
-    pub fn with_calendar() -> Self {
-        Engine { queue: Queue::Calendar(CalendarQueue::new()), ..Engine::new() }
-    }
-
-    /// A fresh engine pinned to the binary-heap backend: never migrates,
-    /// whatever the pending count. This is the seed engine's exact data
-    /// path (boxed actions in a `BinaryHeap`), kept constructible so the
-    /// `BENCH_sim.json` baseline and the backend-equivalence proptests
-    /// can measure and test it at any depth.
-    pub fn with_heap_pinned() -> Self {
-        Engine { pinned: true, ..Engine::new() }
+        Engine { queue: BinaryHeap::new(), seq: 0, now: 0.0, peak: 0, trace: Vec::new() }
     }
 
     /// Current simulation time.
@@ -158,26 +103,13 @@ impl Engine {
         self.queue.len()
     }
 
-    /// `true` iff the engine is currently on the calendar backend.
-    pub fn is_calendar(&self) -> bool {
-        matches!(self.queue, Queue::Calendar(_))
-    }
-
     /// Schedules `action` to run at absolute time `at` (must not be in the
     /// past).
     pub fn schedule_at(&mut self, at: f64, action: impl FnOnce(&mut Engine) + 'static) {
         assert!(at >= self.now, "cannot schedule in the past ({at} < {})", self.now);
         assert!(at.is_finite(), "event time must be finite");
         self.seq += 1;
-        match &mut self.queue {
-            Queue::Heap(h) => {
-                h.push(Pending { time: at, seq: self.seq, action: Box::new(action) });
-                if !self.pinned && h.len() > Self::MIGRATE_THRESHOLD {
-                    self.migrate_to_calendar();
-                }
-            }
-            Queue::Calendar(c) => c.push(at, self.seq, Box::new(action)),
-        }
+        self.queue.push(Pending { time: at, seq: self.seq, action: Box::new(action) });
         self.peak = self.peak.max(self.queue.len());
     }
 
@@ -193,47 +125,16 @@ impl Engine {
         self.trace.push(SimEvent { time: self.now, kind, proc });
     }
 
-    /// Moves every pending event from the heap onto a calendar queue.
-    /// `(time, seq)` rides along, so pop order is unchanged.
-    fn migrate_to_calendar(&mut self) {
-        if let Queue::Heap(h) = &mut self.queue {
-            let mut mig_span = gs_scatter::obs::span::span("sim", "sim.migrate");
-            mig_span.attr("pending", h.len());
-            let mut cal = CalendarQueue::new();
-            for p in std::mem::take(h).into_vec() {
-                cal.push(p.time, p.seq, p.action);
-            }
-            self.queue = Queue::Calendar(cal);
-            gs_scatter::metrics::Registry::global()
-                .counter(
-                    "sim_queue_migrations_total",
-                    "engine migrations from binary heap to calendar queue",
-                )
-                .inc();
-        }
-    }
-
-    fn pop(&mut self) -> Option<(f64, Action)> {
-        match &mut self.queue {
-            Queue::Heap(h) => h.pop().map(|p| (p.time, p.action)),
-            Queue::Calendar(c) => c.pop().map(|(t, _, a)| (t, a)),
-        }
-    }
-
     /// Runs until the queue drains; returns the final time.
     pub fn run(&mut self) -> f64 {
-        while let Some((time, action)) = self.pop() {
+        while let Some(Pending { time, action, .. }) = self.queue.pop() {
             debug_assert!(time >= self.now, "time must be monotone");
             self.now = time;
             action(self);
         }
-        let reg = gs_scatter::metrics::Registry::global();
-        reg.gauge("sim_queue_depth", "peak pending events in the last simulator run")
+        gs_scatter::metrics::Registry::global()
+            .gauge("sim_queue_depth", "peak pending events in the last simulator run")
             .set(self.peak as f64);
-        if let Queue::Calendar(c) = &self.queue {
-            reg.counter("sim_queue_resizes_total", "calendar-queue bucket-array rebuilds")
-                .add(c.stats().resizes);
-        }
         self.now
     }
 }
@@ -258,15 +159,14 @@ mod tests {
 
     #[test]
     fn ties_break_by_insertion_order() {
-        for mut e in [Engine::new(), Engine::with_calendar()] {
-            let log = Rc::new(RefCell::new(Vec::new()));
-            for tag in ['x', 'y', 'z'] {
-                let log = log.clone();
-                e.schedule_at(5.0, move |_| log.borrow_mut().push(tag));
-            }
-            e.run();
-            assert_eq!(*log.borrow(), vec!['x', 'y', 'z']);
+        let mut e = Engine::new();
+        let log = Rc::new(RefCell::new(Vec::new()));
+        for tag in ['x', 'y', 'z'] {
+            let log = log.clone();
+            e.schedule_at(5.0, move |_| log.borrow_mut().push(tag));
         }
+        e.run();
+        assert_eq!(*log.borrow(), vec!['x', 'y', 'z']);
     }
 
     #[test]
@@ -303,39 +203,24 @@ mod tests {
     }
 
     #[test]
-    fn calendar_engine_matches_heap_engine() {
-        // Same schedule on both backends → same execution order.
-        let schedule = |e: &mut Engine, log: Rc<RefCell<Vec<(f64, u32)>>>| {
-            for i in 0..50u32 {
-                let t = (i % 7) as f64;
-                let log = log.clone();
-                e.schedule_at(t, move |e| log.borrow_mut().push((e.now(), i)));
-            }
-        };
-        let (heap_log, cal_log) =
-            (Rc::new(RefCell::new(Vec::new())), Rc::new(RefCell::new(Vec::new())));
-        let mut heap = Engine::new();
-        schedule(&mut heap, heap_log.clone());
-        heap.run();
-        let mut cal = Engine::with_calendar();
-        assert!(cal.is_calendar());
-        schedule(&mut cal, cal_log.clone());
-        cal.run();
-        assert_eq!(*heap_log.borrow(), *cal_log.borrow());
-    }
-
-    #[test]
-    fn heap_engine_migrates_past_threshold() {
+    fn deep_queue_fires_in_time_then_insertion_order() {
+        // Far more than a thousand pending events, with many exact time
+        // ties: pop order must be ascending time, FIFO within a tie.
+        const N: u32 = 4096;
         let mut e = Engine::new();
-        assert!(!e.is_calendar());
-        let hits = Rc::new(RefCell::new(0usize));
-        for i in 0..=Engine::MIGRATE_THRESHOLD {
-            let hits = hits.clone();
-            e.schedule_at(i as f64, move |_| *hits.borrow_mut() += 1);
+        let log = Rc::new(RefCell::new(Vec::new()));
+        for i in 0..N {
+            let t = ((i * 7919) % 97) as f64 * 0.5;
+            let log = log.clone();
+            e.schedule_at(t, move |e| log.borrow_mut().push((e.now(), i)));
         }
-        assert!(e.is_calendar(), "crossing the threshold must migrate");
-        assert_eq!(e.pending(), Engine::MIGRATE_THRESHOLD + 1);
+        assert_eq!(e.pending(), N as usize);
         e.run();
-        assert_eq!(*hits.borrow(), Engine::MIGRATE_THRESHOLD + 1);
+        let fired = log.borrow();
+        assert_eq!(fired.len(), N as usize);
+        for w in fired.windows(2) {
+            let ((t0, i0), (t1, i1)) = (w[0], w[1]);
+            assert!(t0 < t1 || (t0 == t1 && i0 < i1), "{:?} fired before {:?}", w[0], w[1]);
+        }
     }
 }

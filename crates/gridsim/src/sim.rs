@@ -142,14 +142,10 @@ pub fn simulate_scatter(
     simulate_scatter_on(procs, counts, config, Engine::new())
 }
 
-/// [`simulate_scatter`] on a caller-supplied [`Engine`], so the queue
-/// backend can be chosen explicitly: [`Engine::with_heap_pinned`] is the
-/// seed engine's data path and serves as the `BENCH_sim.json` classic
-/// baseline, [`Engine::with_calendar`] forces the calendar from the
-/// start, and the backend-equivalence proptests drive all three through
-/// this one entry point. The engine must be fresh (time zero, empty
-/// queue); pop order — and therefore the result — is identical for
-/// every backend.
+/// [`simulate_scatter`] on a caller-supplied [`Engine`]. This is the
+/// classic closure-engine path that `BENCH_sim.json` and the fast-path
+/// equivalence proptests compare [`crate::bigsim::simulate_star`]
+/// against. The engine must be fresh (time zero, empty queue).
 pub fn simulate_scatter_on(
     procs: &[&Processor],
     counts: &[usize],

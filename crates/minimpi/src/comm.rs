@@ -1,9 +1,8 @@
 //! The per-rank communicator: point-to-point primitives, virtual clock,
 //! and the collectives built on top of them.
 
+use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
-
-use crossbeam::channel::{Receiver, Sender};
 
 use gs_scatter::obs::span;
 
@@ -37,7 +36,8 @@ pub(crate) mod op {
 pub struct Comm {
     pub(crate) rank: usize,
     pub(crate) size: usize,
-    pub(crate) senders: Vec<Sender<Message>>,
+    /// The world's sender table, one inbox per rank, shared by all ranks.
+    pub(crate) senders: Arc<[Sender<Message>]>,
     pub(crate) inbox: Receiver<Message>,
     /// Messages received but not yet matched by a `recv`.
     pub(crate) pending: Vec<Message>,
@@ -58,7 +58,7 @@ impl Comm {
     pub(crate) fn new(
         rank: usize,
         size: usize,
-        senders: Vec<Sender<Message>>,
+        senders: Arc<[Sender<Message>]>,
         inbox: Receiver<Message>,
         model: Option<Arc<TimeModel>>,
     ) -> Self {
@@ -230,6 +230,7 @@ impl Comm {
                 .inbox
                 .recv()
                 .unwrap_or_else(|_| panic!("world shut down while rank {} was receiving", self.rank));
+            msg.check_live();
             if msg.src == src && msg.tag == tag {
                 return msg;
             }

@@ -5,12 +5,13 @@
 //! communication structure* — this crate provides a small message-passing
 //! runtime:
 //!
-//! * **ranks are OS threads** exchanging real bytes over channels
-//!   (crossbeam), so programs written against it actually move data and
-//!   compute results; worlds wider than the machine can instead
-//!   multiplex thousands of logical ranks onto a bounded worker pool
-//!   ([`run_world_pooled`]) with bit-identical results for the
-//!   root-centric patterns documented in `docs/simulation.md`;
+//! * **ranks run on OS threads** exchanging real bytes over `std`
+//!   channels, so programs written against it actually move data and
+//!   compute results; [`run_world`] gives every rank its own worker,
+//!   and worlds wider than the machine can instead multiplex thousands
+//!   of logical ranks onto a bounded worker pool ([`run_world_pooled`])
+//!   with bit-identical results for the root-centric patterns
+//!   documented in `docs/simulation.md`;
 //! * collectives (`scatter`, `scatterv`, `gather`, `gatherv`, `bcast`,
 //!   `barrier`, `reduce`, `allreduce`) are implemented over point-to-point
 //!   sends with the **root serializing its transfers in rank order** — the

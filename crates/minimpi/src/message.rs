@@ -19,6 +19,10 @@ impl Tag {
         Tag(t)
     }
 
+    /// Tag of the poison message a world sends every inbox when a rank
+    /// panics (collective opcode `0xff`, which no collective uses).
+    pub(crate) const TEARDOWN: Tag = Tag(u64::MAX);
+
     /// An internal collective tag: `opcode` identifies the collective,
     /// `seq` the per-communicator invocation counter.
     pub(crate) fn collective(opcode: u8, seq: u64) -> Tag {
@@ -43,6 +47,21 @@ pub(crate) struct Message {
     pub timestamp: f64,
     /// Payload bytes.
     pub payload: Vec<u8>,
+}
+
+impl Message {
+    /// The poison message sent to every inbox when rank `src` panicked,
+    /// so that peers blocked on a receive fail instead of waiting forever.
+    pub(crate) fn teardown(src: usize) -> Message {
+        Message { src, tag: Tag::TEARDOWN, timestamp: 0.0, payload: Vec::new() }
+    }
+
+    /// Panics if this is a [`Message::teardown`] poison message.
+    pub(crate) fn check_live(&self) {
+        if self.tag == Tag::TEARDOWN {
+            panic!("world torn down: rank {} panicked", self.src);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -39,6 +39,7 @@ impl Comm {
         // Drain whatever is sitting in the channel into the pending queue,
         // then look for a match.
         while let Ok(msg) = self.inbox.try_recv() {
+            msg.check_live();
             self.pending.push(msg);
         }
         self.pending

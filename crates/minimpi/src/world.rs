@@ -1,12 +1,13 @@
-//! World construction: spawn one thread per rank, wire the channels, run —
-//! or, for worlds far wider than the machine, multiplex the ranks onto a
-//! bounded worker pool ([`run_world_pooled`]).
+//! World construction: wire the channels, then run the ranks on a worker
+//! pool — one worker per rank ([`run_world`]) or a bounded pool for
+//! worlds far wider than the machine ([`run_world_pooled`]).
 
+use std::any::Any;
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
-
-use crossbeam::channel::{unbounded, Receiver};
 
 use crate::comm::Comm;
 use crate::message::Message;
@@ -27,57 +28,23 @@ impl WorldConfig {
     }
 }
 
-/// Runs `f` on `size` ranks (threads) and returns each rank's result,
-/// indexed by rank.
+/// Runs `f` on `size` ranks, one worker thread per rank, and returns each
+/// rank's result, indexed by rank.
 ///
-/// Panics in any rank propagate (the world is torn down and the panic is
-/// re-raised), so tests fail loudly rather than deadlock.
+/// This is [`run_world_pooled`] with `threads = size`: while any rank is
+/// still queued, at least one worker is free to take it, so every rank
+/// runs concurrently and any communication pattern (rings, halos) works.
 ///
 /// # Panics
 /// Panics if `size == 0`, or if the time model covers a different number
-/// of ranks.
+/// of ranks. A panic in any rank tears the world down and is re-raised,
+/// as described on [`run_world_pooled`].
 pub fn run_world<T, F>(size: usize, config: WorldConfig, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(&mut Comm) -> T + Send + Sync,
 {
-    assert!(size > 0, "a world needs at least one rank");
-    if let Some(m) = &config.time {
-        assert_eq!(m.len(), size, "time model must cover every rank");
-    }
-    let model = config.time.map(Arc::new);
-
-    let (senders, receivers): (Vec<_>, Vec<_>) =
-        (0..size).map(|_| unbounded::<Message>()).unzip();
-
-    let mut results: Vec<Option<T>> = (0..size).map(|_| None).collect();
-    crossbeam::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(size);
-        for (rank, (inbox, slot)) in receivers.into_iter().zip(results.iter_mut()).enumerate() {
-            let senders = senders.clone();
-            let model = model.clone();
-            let f = &f;
-            handles.push(scope.spawn(move |_| {
-                let mut comm = Comm::new(rank, size, senders, inbox, model);
-                *slot = Some(f(&mut comm));
-                // Comm (and its channel ends) drops here; ranks that exit
-                // early while others still send to them would error — the
-                // unbounded channel keeps sends non-blocking, and a Comm
-                // owns its receiver until it returns.
-            }));
-        }
-        for h in handles {
-            if let Err(e) = h.join() {
-                std::panic::resume_unwind(e);
-            }
-        }
-    })
-    .expect("scope itself cannot fail beyond rank panics");
-
-    results
-        .into_iter()
-        .map(|r| r.expect("every rank produced a result"))
-        .collect()
+    run_world_pooled(size, size, 0, config, f)
 }
 
 /// Runs `f` on `size` logical ranks multiplexed onto at most `threads`
@@ -87,27 +54,33 @@ where
 /// completion** before taking the next — ranks are not preempted. The
 /// unbounded per-rank inboxes make sends non-blocking, so messages to a
 /// rank that has not started yet simply wait in its channel. Results are
-/// **bit-identical** to [`run_world`]: a rank's observable behaviour
-/// (received bytes, virtual clocks, communication records) depends only
-/// on message contents and per-sender order, both of which are
-/// scheduling-independent.
+/// **bit-identical** for every worker count: a rank's observable
+/// behaviour (received bytes, virtual clocks, communication records)
+/// depends only on message contents and per-sender order, both of which
+/// are scheduling-independent.
 ///
 /// `root` is scheduled first. This matters for the **capacity limit**
-/// documented in `docs/simulation.md`: a pooled world supports
-/// *root-centric* communication patterns — every blocking receive is
-/// either (a) performed by `root`, or (b) a receive from `root` or from
-/// a rank that needs nothing in return. `scatterv`, `scatterv_ft`,
-/// `gatherv`, `bcast`, `reduce` and (with `root = 0`) `barrier`/
-/// `allreduce` qualify; patterns where non-root ranks block on each
-/// other (rings, nearest-neighbour halos) can deadlock on a bounded
-/// pool and need [`run_world`]. When `root` itself blocks on receives
-/// (gather-like patterns), `threads >= 2` is required so other ranks
-/// can still be scheduled; scatter-only patterns run fine on one thread.
+/// documented in `docs/simulation.md`: a pool with fewer workers than
+/// ranks supports *root-centric* communication patterns — every
+/// blocking receive is either (a) performed by `root`, or (b) a receive
+/// from `root` or from a rank that needs nothing in return. `scatterv`,
+/// `scatterv_ft`, `gatherv`, `bcast`, `reduce` and (with `root = 0`)
+/// `barrier`/`allreduce` qualify; patterns where non-root ranks block on
+/// each other (rings, nearest-neighbour halos) can deadlock on a bounded
+/// pool and need one worker per rank ([`run_world`]). When `root` itself
+/// blocks on receives (gather-like patterns), `threads >= 2` is required
+/// so other ranks can still be scheduled; scatter-only patterns run fine
+/// on one thread.
 ///
 /// # Panics
 /// Panics if `size == 0`, `threads == 0`, `root >= size`, or if the
-/// time model covers a different number of ranks. Panics in any rank
-/// propagate, as in [`run_world`].
+/// time model covers a different number of ranks.
+///
+/// A panic in a rank tears the world down: ranks not yet started are
+/// dropped, and every inbox receives a poison message, so that a rank
+/// blocked on a receive fails with "world torn down: rank r panicked"
+/// instead of waiting forever. Once every worker has stopped, the first
+/// rank's original panic payload is re-raised.
 pub fn run_world_pooled<T, F>(
     size: usize,
     threads: usize,
@@ -128,8 +101,10 @@ where
     let threads = threads.min(size);
     let model = config.time.map(Arc::new);
 
-    let (senders, receivers): (Vec<_>, Vec<_>) =
-        (0..size).map(|_| unbounded::<Message>()).unzip();
+    let (senders, receivers): (Vec<Sender<Message>>, Vec<_>) =
+        (0..size).map(|_| channel::<Message>()).unzip();
+    // One sender table per world, shared by every rank.
+    let senders: Arc<[Sender<Message>]> = senders.into();
 
     // Job queue: every rank with its inbox, root first so gather-like
     // patterns find the blocking rank already running.
@@ -146,43 +121,51 @@ where
     let reg = gs_scatter::metrics::Registry::global();
     reg.counter("mpi_pool_ranks_total", "logical ranks executed on the worker pool")
         .add(size as u64);
-    reg.gauge("mpi_pool_threads", "worker threads of the last pooled world").set(threads as f64);
+    reg.gauge("mpi_pool_threads", "worker threads of the last world").set(threads as f64);
 
     let results: Mutex<Vec<Option<T>>> = Mutex::new((0..size).map(|_| None).collect());
+    let failure: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
     let busy = AtomicUsize::new(0);
     let peak = AtomicUsize::new(0);
-    crossbeam::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
+    std::thread::scope(|scope| {
         for _ in 0..threads {
-            let senders = senders.clone();
-            let model = model.clone();
-            let (f, results, busy, peak, jobs) = (&f, &results, &busy, &peak, &jobs);
-            handles.push(scope.spawn(move |_| {
-                loop {
-                    // Pop under the lock in its own statement — a
-                    // `while let` would keep the guard (and starve the
-                    // other workers) for the whole rank execution.
-                    let job = jobs.lock().expect("job queue lock").pop_front();
-                    let Some((rank, inbox)) = job else { break };
-                    let now = busy.fetch_add(1, Ordering::Relaxed) + 1;
-                    peak.fetch_max(now, Ordering::Relaxed);
-                    let mut comm = Comm::new(rank, size, senders.clone(), inbox, model.clone());
-                    let out = f(&mut comm);
-                    drop(comm);
-                    busy.fetch_sub(1, Ordering::Relaxed);
-                    results.lock().expect("results lock")[rank] = Some(out);
+            let (f, senders, model) = (&f, &senders, &model);
+            let (results, failure, busy, peak, jobs) = (&results, &failure, &busy, &peak, &jobs);
+            scope.spawn(move || loop {
+                // Pop under the lock in its own statement — a `while let`
+                // would keep the guard (and starve the other workers) for
+                // the whole rank execution.
+                let job = jobs.lock().expect("job queue lock").pop_front();
+                let Some((rank, inbox)) = job else { break };
+                let now = busy.fetch_add(1, Ordering::Relaxed) + 1;
+                peak.fetch_max(now, Ordering::Relaxed);
+                let mut comm = Comm::new(rank, size, Arc::clone(senders), inbox, model.clone());
+                let out = catch_unwind(AssertUnwindSafe(|| f(&mut comm)));
+                drop(comm);
+                busy.fetch_sub(1, Ordering::Relaxed);
+                match out {
+                    Ok(out) => results.lock().expect("results lock")[rank] = Some(out),
+                    Err(payload) => {
+                        let mut first = failure.lock().expect("failure lock");
+                        if first.is_none() {
+                            *first = Some(payload);
+                            jobs.lock().expect("job queue lock").clear();
+                            for inbox in senders.iter() {
+                                // A finished rank has dropped its inbox;
+                                // it needs no wake-up.
+                                let _ = inbox.send(Message::teardown(rank));
+                            }
+                        }
+                    }
                 }
-            }));
+            });
         }
-        for h in handles {
-            if let Err(e) = h.join() {
-                std::panic::resume_unwind(e);
-            }
-        }
-    })
-    .expect("scope itself cannot fail beyond rank panics");
+    });
 
-    reg.gauge("mpi_pool_occupancy", "peak busy workers of the last pooled world")
+    if let Some(payload) = failure.into_inner().expect("failure lock") {
+        resume_unwind(payload);
+    }
+    reg.gauge("mpi_pool_occupancy", "peak busy workers of the last world")
         .set(peak.load(Ordering::Relaxed) as f64);
 
     results
@@ -439,6 +422,46 @@ mod tests {
             })
         });
         assert!(result.is_err());
+    }
+
+    /// Runs `world` on its own thread and returns its panic message, or
+    /// fails after 10 s — a hang fails the test instead of stalling the
+    /// suite.
+    fn panic_message_within_deadline(world: impl FnOnce() + Send + 'static) -> String {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let payload = std::panic::catch_unwind(AssertUnwindSafe(world))
+                .expect_err("a rank panicked, so the world must panic");
+            let msg = payload
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_default();
+            tx.send(msg).expect("watchdog still listening");
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(10))
+            .expect("world still blocked 10 s after a rank panicked")
+    }
+
+    #[test]
+    fn rank_panic_wakes_peer_blocked_on_it() {
+        // Rank 1 panics before sending; rank 0 is blocked receiving from
+        // it. The world must tear down and re-raise rank 1's panic.
+        let body = |c: &mut Comm| {
+            if c.rank() == 1 {
+                panic!("rank 1 exploded before sending");
+            }
+            if c.rank() == 0 {
+                c.recv::<u64>(1, Tag::user(1));
+            }
+        };
+        let one_per_rank =
+            panic_message_within_deadline(move || drop(run_world(2, WorldConfig::default(), body)));
+        assert_eq!(one_per_rank, "rank 1 exploded before sending");
+        let pooled = panic_message_within_deadline(move || {
+            drop(run_world_pooled(4, 2, 0, WorldConfig::default(), body))
+        });
+        assert_eq!(pooled, "rank 1 exploded before sending");
     }
 
     #[test]

@@ -4,21 +4,15 @@
 //! * the [`CalendarQueue`] pops in exactly the reference `(time, seq)`
 //!   order — FIFO among ties — under arbitrary interleaved pushes and
 //!   pops on tie-heavy time grids;
-//! * the auto-migrating [`Engine`] (heap → calendar past the depth
-//!   threshold) and the pure calendar backend fire events in the same
-//!   order as the seed's pinned binary heap;
-//! * `simulate_scatter_on` produces bit-identical timelines on every
-//!   engine backend, and the arena fast path ([`simulate_star`])
-//!   matches the classic engine bit for bit on random stars, zero-work
-//!   ties included;
-//! * the pooled gs-minimpi runtime ([`run_world_pooled`]) is
-//!   bit-identical to thread-per-rank [`run_world`] — payloads, virtual
-//!   clocks, and communication records — across worker counts, and the
+//! * the arena fast path ([`simulate_star`]) matches the classic
+//!   [`Engine`] (via `simulate_scatter_on`) bit for bit on random stars,
+//!   zero-work ties included;
+//! * the pooled gs-minimpi runtime on a bounded pool
+//!   ([`run_world_pooled`]) is bit-identical to one worker per rank
+//!   ([`run_world`]) — payloads, virtual clocks, and communication
+//!   records — across worker counts, and the
 //!   same holds for the fault-tolerant scatter under seeded fault
 //!   plans (traces and incidents included).
-
-use std::cell::RefCell;
-use std::rc::Rc;
 
 use grid_scatter::gridsim::{
     proportional_counts, simulate_scatter_on, simulate_star, synthetic_star, CalendarQueue,
@@ -45,20 +39,6 @@ fn queue_op() -> impl Strategy<Value = QueueOp> {
     // weight by hand over a small integer.
     (0u8..5, 0u8..4)
         .prop_map(|(k, d)| if k < 3 { QueueOp::Push(d) } else { QueueOp::Pop })
-}
-
-/// A star platform in scatter order (root last, free self-link) with
-/// per-worker link and compute slopes drawn from tie-heavy grids.
-fn star_procs(p: usize, betas: &[f64], alphas: &[f64]) -> Vec<Processor> {
-    (0..p)
-        .map(|i| {
-            if i == p - 1 {
-                Processor::linear("root", 0.0, alphas[i % alphas.len()])
-            } else {
-                Processor::linear(format!("w{i}"), betas[i % betas.len()], alphas[i % alphas.len()])
-            }
-        })
-        .collect()
 }
 
 proptest! {
@@ -121,71 +101,7 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// The auto-migrating engine and the pure calendar backend fire
-    /// events in exactly the pinned heap's order — enough upfront
-    /// events to push the auto engine over its migration threshold,
-    /// times from a 16-value grid so ties are everywhere.
-    #[test]
-    fn engine_backends_fire_in_heap_order(
-        steps in proptest::collection::vec(0u8..16, 1100..1400),
-    ) {
-        let times: Vec<f64> = steps.iter().map(|&s| f64::from(s) * 0.5).collect();
-        let run = |mut engine: Engine| -> (Vec<(u64, usize)>, bool) {
-            let fired: Rc<RefCell<Vec<(u64, usize)>>> = Rc::new(RefCell::new(Vec::new()));
-            for (k, &t) in times.iter().enumerate() {
-                let fired = Rc::clone(&fired);
-                engine.schedule_at(t, move |e| {
-                    fired.borrow_mut().push((e.now().to_bits(), k));
-                });
-            }
-            let migrated = engine.is_calendar();
-            engine.run();
-            (Rc::try_unwrap(fired).unwrap().into_inner(), migrated)
-        };
-        let (heap_order, heap_migrated) = run(Engine::with_heap_pinned());
-        let (auto_order, auto_migrated) = run(Engine::new());
-        let (cal_order, _) = run(Engine::with_calendar());
-        prop_assert!(!heap_migrated, "pinned engine never migrates");
-        prop_assert!(auto_migrated, "depth > threshold must migrate the default engine");
-        prop_assert_eq!(&auto_order, &heap_order, "migrated order == heap order");
-        prop_assert_eq!(&cal_order, &heap_order, "calendar order == heap order");
-    }
-}
-
-proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// `simulate_scatter_on` is backend-independent: heap-pinned,
-    /// auto, and calendar engines produce bit-identical timelines and
-    /// event streams on random heterogeneous stars.
-    #[test]
-    fn scatter_sim_is_backend_independent(
-        p in 2usize..40,
-        beta_idx in proptest::collection::vec(0usize..4, 5),
-        alpha_idx in proptest::collection::vec(0usize..3, 5),
-        per in 1usize..20,
-    ) {
-        // Discrete slope grids so equal comm/compute durations (ties)
-        // occur constantly.
-        const BETA_GRID: [f64; 4] = [0.0, 1e-4, 2e-4, 5e-4];
-        const ALPHA_GRID: [f64; 3] = [1e-3, 2e-3, 8e-3];
-        let betas: Vec<f64> = beta_idx.iter().map(|&i| BETA_GRID[i]).collect();
-        let alphas: Vec<f64> = alpha_idx.iter().map(|&i| ALPHA_GRID[i]).collect();
-        let procs = star_procs(p, &betas, &alphas);
-        let view: Vec<&Processor> = procs.iter().collect();
-        let counts = vec![per; p];
-        let cfg = SimConfig::ideal();
-        let heap = simulate_scatter_on(&view, &counts, &cfg, Engine::with_heap_pinned());
-        let auto = simulate_scatter_on(&view, &counts, &cfg, Engine::new());
-        let cal = simulate_scatter_on(&view, &counts, &cfg, Engine::with_calendar());
-        for other in [&auto, &cal] {
-            prop_assert_eq!(heap.makespan.to_bits(), other.makespan.to_bits());
-            prop_assert_eq!(&heap.timeline, &other.timeline);
-            prop_assert_eq!(heap.events.len(), other.events.len());
-        }
-    }
 
     /// The arena fast path matches the classic engine bit for bit on
     /// random stars — zero-work and zero-comm ties included, the same
@@ -216,7 +132,7 @@ proptest! {
         let view: Vec<&Processor> = procs.iter().collect();
         let counts_usize: Vec<usize> = counts.iter().map(|&c| c as usize).collect();
         let classic =
-            simulate_scatter_on(&view, &counts_usize, &SimConfig::ideal(), Engine::with_heap_pinned());
+            simulate_scatter_on(&view, &counts_usize, &SimConfig::ideal(), Engine::new());
 
         prop_assert_eq!(fast.makespan.to_bits(), classic.makespan.to_bits());
         prop_assert_eq!(&fast.timeline, &classic.timeline);
@@ -227,7 +143,7 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Pooled execution is bit-identical to thread-per-rank: same
+    /// A bounded pool is bit-identical to one worker per rank: same
     /// payloads, same virtual clocks, same communication records — for
     /// any worker count, including a single worker for the scatter-only
     /// (root never blocks) pattern.
@@ -339,7 +255,7 @@ fn synthetic_star_fast_path_matches_classic() {
     let view: Vec<&Processor> = procs.iter().collect();
     let counts_usize: Vec<usize> = counts.iter().map(|&c| c as usize).collect();
     let classic =
-        simulate_scatter_on(&view, &counts_usize, &SimConfig::ideal(), Engine::with_heap_pinned());
+        simulate_scatter_on(&view, &counts_usize, &SimConfig::ideal(), Engine::new());
     assert_eq!(fast.makespan.to_bits(), classic.makespan.to_bits());
     assert_eq!(fast.timeline, classic.timeline);
 }
