@@ -1,6 +1,9 @@
 //! Criterion bench: the guaranteed LP heuristic and the closed form at
-//! paper scale (n = 817,101, p = 16) — "instantaneous" in §5.2.
+//! paper scale (n = 817,101, p = 16) — "instantaneous" in §5.2 — plus the
+//! heuristic's structured solve on the synthetic affine platform of
+//! `dp_perf_platform` at p = 64.
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use gs_bench::experiments::runtimes::dp_perf_platform;
 use gs_scatter::closed_form::closed_form_distribution;
 use gs_scatter::heuristic::heuristic_distribution;
 use gs_scatter::ordering::{scatter_order, OrderPolicy};
@@ -20,6 +23,15 @@ fn bench_heuristic(c: &mut Criterion) {
             b.iter(|| closed_form_distribution(&view, n).unwrap())
         });
     }
+    // The structured solve only: at p = 64 the simplex takes minutes.
+    let affine = dp_perf_platform(64);
+    let order = scatter_order(&affine, OrderPolicy::DescendingBandwidth);
+    let view = affine.ordered(&order);
+    let n = 100_000usize;
+    assert!(heuristic_distribution(&view, n).unwrap().certified, "p = 64 row must not fall back");
+    group.bench_with_input(BenchmarkId::new("lp_heuristic_affine_p64", n), &n, |b, &n| {
+        b.iter(|| heuristic_distribution(&view, n).unwrap())
+    });
     group.finish();
 }
 

@@ -372,10 +372,20 @@ mod tests {
     use super::*;
     use crate::obs::json;
 
-    /// Spans recorded between `reset` and `drain` by this test only:
-    /// other tests in the process may record concurrently, so filter
-    /// to the ids this closure's guards produced.
+    /// Serializes the tests that touch the tracer's global state (the
+    /// enabled flag and the ring). Without it, one test's `drain` can
+    /// take spans another test's worker thread flushed on exit, and one
+    /// test's `set_enabled(false)` can make another's guards inert.
+    fn tracer_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
+    /// Spans recorded by `f` alone: the tracer lock keeps the other
+    /// tests of this module out for the duration, and the id filter
+    /// drops spans that tests elsewhere in the process record meanwhile.
     fn record_isolated(f: impl FnOnce()) -> Vec<SpanRecord> {
+        let _lock = tracer_lock();
         let was = enabled();
         set_enabled(true);
         let lo = NEXT_ID.load(Ordering::Relaxed);
@@ -390,6 +400,7 @@ mod tests {
     #[test]
     fn disabled_records_nothing() {
         // Run with tracing forced off; the guard must be inert.
+        let _lock = tracer_lock();
         let was = enabled();
         set_enabled(false);
         let g = span("t", "noop");
@@ -423,9 +434,14 @@ mod tests {
             let root = span("t", "coord");
             let root_id = root.id();
             std::thread::scope(|s| {
+                // An explicit join waits for the worker thread to exit,
+                // which is when its buffer flushes into the ring; the
+                // scope's implicit join only waits for the closure.
                 s.spawn(move || {
                     let _w = span_with_parent("t", "worker", root_id);
-                });
+                })
+                .join()
+                .unwrap();
             });
         });
         let root = spans.iter().find(|s| s.name == "coord").unwrap();
@@ -473,6 +489,7 @@ mod tests {
     #[test]
     fn ring_drops_oldest_beyond_capacity() {
         // Exercise the drop-oldest policy directly on the flush path.
+        let _lock = tracer_lock();
         let mut batch: Vec<SpanRecord> = (0..RING_CAPACITY + 10)
             .map(|i| SpanRecord {
                 id: u64::MAX - i as u64,

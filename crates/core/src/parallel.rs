@@ -446,11 +446,12 @@ fn copy_warm(plane: &mut DpPlane, w: &WarmStart<'_>) {
 ///
 /// Affine platforms are seeded from the *slopes-only* closed form: any
 /// feasible distribution evaluated with the true affine costs
-/// upper-bounds the optimum, and the closed form is O(p·log n) where the
-/// exact rational LP heuristic grows without bound in `p` (minutes at
-/// `p = 64` even with dyadic coefficients — far more than the pruning
-/// it buys). The bound loosens by at most the sum of the intercepts,
-/// which the pruning margin already absorbs on realistic platforms.
+/// upper-bounds the optimum, and the closed form never needs more than
+/// its O(p) rational operations, whereas the exact LP heuristic falls
+/// back to the general simplex on intercept-heavy platforms (minutes at
+/// `p = 64` — far more than the pruning it buys). The bound loosens by
+/// at most the sum of the intercepts, which the pruning margin already
+/// absorbs on realistic platforms.
 fn upper_bound(procs: &[&Processor], n: usize) -> Option<f64> {
     let linear =
         procs.iter().all(|p| p.comm.linear_slope().is_some() && p.comp.linear_slope().is_some());

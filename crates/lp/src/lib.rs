@@ -7,6 +7,11 @@
 //! exact optimum. The paper used PIP/pipMP; this crate is the self-contained
 //! replacement.
 //!
+//! The heuristic itself now solves Eq. (3) by its prefix structure and
+//! certifies each answer (`gs_scatter::heuristic`); this solver answers
+//! only when that certificate fails, and for the gather-aware LP of
+//! `gs_scatter::gather`.
+//!
 //! ## Example
 //!
 //! ```

@@ -279,6 +279,13 @@ impl BigUint {
     }
 
     /// Greatest common divisor (binary GCD).
+    ///
+    /// Works on two owned limb buffers, subtracting and shifting in
+    /// place: a binary step allocates nothing. While one operand is more
+    /// than a limb longer than the other, a Euclid step (`a mod b`, one
+    /// allocation) replaces the many binary steps it would take to bring
+    /// them level. Once both operands fit a `u64` the rest runs on
+    /// machine words.
     pub fn gcd(&self, other: &BigUint) -> BigUint {
         if self.is_zero() {
             return other.clone();
@@ -286,25 +293,40 @@ impl BigUint {
         if other.is_zero() {
             return self.clone();
         }
-        let mut a = self.clone();
-        let mut b = other.clone();
-        let az = a.trailing_zeros();
-        let bz = b.trailing_zeros();
-        let common = az.min(bz);
-        a = a >> az;
-        b = b >> bz;
+        let az = self.trailing_zeros();
+        let bz = other.trailing_zeros();
+        let mut a = self.limbs.clone();
+        let mut b = other.limbs.clone();
+        shr_limbs_in_place(&mut a, az);
+        shr_limbs_in_place(&mut b, bz);
         // Both odd from here on.
         loop {
-            match a.cmp(&b) {
+            if a.len() <= 2 && b.len() <= 2 {
+                let g = gcd_u64(limbs_to_u64(&a), limbs_to_u64(&b));
+                return BigUint::from(g) << az.min(bz);
+            }
+            match cmp_limbs(&a, &b) {
                 Ordering::Equal => break,
                 Ordering::Less => std::mem::swap(&mut a, &mut b),
                 Ordering::Greater => {}
             }
-            a = a.checked_sub(&b).expect("a > b");
-            let z = a.trailing_zeros();
-            a = a >> z;
+            if a.len() > b.len() + 1 {
+                // Operands of very different sizes: one Euclid step
+                // replaces a bit-at-a-time walk down to `b`'s size.
+                let b_big = BigUint { limbs: b };
+                a = BigUint { limbs: std::mem::take(&mut a) }.divrem(&b_big).1.limbs;
+                b = b_big.limbs;
+                if a.is_empty() {
+                    a = b;
+                    break;
+                }
+            } else {
+                sub_limbs_in_place(&mut a, &b);
+            }
+            let z = limbs_trailing_zeros(&a);
+            shr_limbs_in_place(&mut a, z);
         }
-        a << common
+        BigUint::from_limbs(a) << az.min(bz)
     }
 
     /// Number of trailing zero bits (`0` for zero).
@@ -357,6 +379,69 @@ fn slice_lt(slice: &[u32], b: &BigUint) -> bool {
         }
     }
     false
+}
+
+/// Compares two normalized little-endian limb buffers.
+fn cmp_limbs(a: &[u32], b: &[u32]) -> Ordering {
+    a.len().cmp(&b.len()).then_with(|| a.iter().rev().cmp(b.iter().rev()))
+}
+
+/// `a -= b` on normalized limb buffers (`a >= b`), trimming the
+/// trailing zero limbs the subtraction leaves.
+fn sub_limbs_in_place(a: &mut Vec<u32>, b: &[u32]) {
+    let mut borrow = false;
+    for (i, limb) in a.iter_mut().enumerate() {
+        let (d, o1) = limb.overflowing_sub(b.get(i).copied().unwrap_or(0));
+        let (d, o2) = d.overflowing_sub(borrow as u32);
+        *limb = d;
+        borrow = o1 || o2;
+        if !borrow && i >= b.len() {
+            break;
+        }
+    }
+    debug_assert!(!borrow, "caller must guarantee a >= b");
+    while a.last() == Some(&0) {
+        a.pop();
+    }
+}
+
+/// Trailing zero bits of a non-zero limb buffer.
+fn limbs_trailing_zeros(a: &[u32]) -> u64 {
+    let i = a.iter().position(|&l| l != 0).expect("non-zero buffer");
+    i as u64 * LIMB_BITS as u64 + a[i].trailing_zeros() as u64
+}
+
+/// `a >>= bits` on a normalized limb buffer, in place.
+fn shr_limbs_in_place(a: &mut Vec<u32>, bits: u64) {
+    let limb_shift = ((bits / LIMB_BITS as u64) as usize).min(a.len());
+    a.drain(..limb_shift);
+    let bit_shift = (bits % LIMB_BITS as u64) as u32;
+    if bit_shift != 0 {
+        for i in 0..a.len() {
+            let hi = a.get(i + 1).map_or(0, |&h| h << (LIMB_BITS - bit_shift));
+            a[i] = (a[i] >> bit_shift) | hi;
+        }
+    }
+    while a.last() == Some(&0) {
+        a.pop();
+    }
+}
+
+/// The value of a limb buffer of at most two limbs.
+fn limbs_to_u64(a: &[u32]) -> u64 {
+    a.iter().rev().fold(0, |acc, &l| acc << LIMB_BITS | l as u64)
+}
+
+/// Binary GCD of two odd machine words.
+fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
+    while a != b {
+        if a < b {
+            std::mem::swap(&mut a, &mut b);
+        }
+        a -= b;
+        a >>= a.trailing_zeros();
+    }
+    a
 }
 
 /// `slice -= b` in place; the caller guarantees no underflow.

@@ -6,7 +6,8 @@
 //! program *in rationals* and rounds the result (RR-4770, §3.3). Solving that
 //! LP with floating point would make the guarantee of Eq. (4) unverifiable:
 //! pivoting error can move the optimal vertex. This crate provides the exact
-//! arithmetic the simplex solver (`gs-lp`) pivots over.
+//! arithmetic of the heuristic's structured solve and certificate, and of
+//! the simplex solver (`gs-lp`) it falls back to.
 //!
 //! Design notes:
 //! * [`BigUint`] stores little-endian `u32` limbs so that schoolbook

@@ -84,6 +84,34 @@ proptest! {
         }
     }
 
+    /// The in-place binary GCD against Euclid's algorithm on multi-limb
+    /// values that share a random factor and random powers of two.
+    #[test]
+    fn gcd_matches_euclid_multi_limb(
+        common in proptest::collection::vec(any::<u32>(), 0..6),
+        a_limbs in proptest::collection::vec(any::<u32>(), 0..24),
+        b_limbs in proptest::collection::vec(any::<u32>(), 0..24),
+        a_shift in 0u64..100,
+        b_shift in 0u64..100,
+    ) {
+        let euclid = |mut x: BigUint, mut y: BigUint| {
+            while !y.is_zero() {
+                let r = &x % &y;
+                x = y;
+                y = r;
+            }
+            x
+        };
+        let common = BigUint::from_limbs(common);
+        let a = (&common * &BigUint::from_limbs(a_limbs)) << a_shift;
+        let b = (&common * &BigUint::from_limbs(b_limbs)) << b_shift;
+        let g = euclid(a.clone(), b.clone());
+        prop_assert_eq!(a.gcd(&b), g.clone());
+        prop_assert_eq!(b.gcd(&a), g);
+        // A short divisor of a long value: the remainder step ends the walk.
+        prop_assert_eq!(a.gcd(&common), euclid(a.clone(), common.clone()));
+    }
+
     #[test]
     fn display_parse_round_trip(v in any::<u128>()) {
         let b = BigUint::from(v);

@@ -25,6 +25,7 @@
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 
 use gs_scatter::cost_table::CostTable;
@@ -96,6 +97,9 @@ pub struct Engine {
     results: Box<[ResultShard]>,
     /// Key → in-flight computation, for request coalescing.
     inflight: Mutex<HashMap<u64, Arc<Flight>>>,
+    /// Planning computations this engine ran (its share of the global
+    /// `serve_computes_total`).
+    computes: AtomicU64,
 }
 
 impl Engine {
@@ -107,6 +111,7 @@ impl Engine {
             plan_cache: Arc::new(PlanCache::with_shards(shards)),
             results: (0..shards).map(|_| RwLock::new(HashMap::new())).collect(),
             inflight: Mutex::new(HashMap::new()),
+            computes: AtomicU64::new(0),
             cfg,
         }
     }
@@ -225,6 +230,7 @@ impl Engine {
 
         // Leader: compute outside every lock, publish, wake waiters.
         reg.counter("serve_computes_total", "planning computations actually run").inc();
+        self.computes.fetch_add(1, Ordering::Relaxed);
         let result = self.compute(op, params, parent);
         if let Ok(computed) = &result {
             shard.write().expect("results lock").insert(key, Arc::clone(computed));
@@ -513,9 +519,8 @@ mod tests {
 
     #[test]
     fn concurrent_identical_requests_compute_once() {
-        let reg = Registry::global();
-        let computes = reg.counter("serve_computes_total", "planning computations actually run");
-        let before = computes.get();
+        // This engine's own count: the global `serve_computes_total` also
+        // counts the computes of tests running in parallel.
         let engine = Arc::new(Engine::new(EngineConfig::default()));
         let results: Vec<PlanResult> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..8)
@@ -528,7 +533,8 @@ mod tests {
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
-        assert_eq!(computes.get() - before, 1, "the herd computes exactly one plan");
+        let computes = engine.computes.load(Ordering::Relaxed);
+        assert_eq!(computes, 1, "the herd computes exactly one plan");
         let leader = &results[0];
         for r in &results[1..] {
             assert_eq!(r.counts, leader.counts);

@@ -7,9 +7,10 @@ use grid_scatter::scatter::closed_form::closed_form_distribution;
 use grid_scatter::scatter::dp_basic::optimal_distribution_basic;
 use grid_scatter::scatter::dp_dc::optimal_distribution_dc;
 use grid_scatter::scatter::dp_optimized::optimal_distribution;
-use grid_scatter::scatter::heuristic::heuristic_distribution;
+use grid_scatter::scatter::heuristic::{heuristic_distribution, heuristic_distribution_simplex};
 use grid_scatter::scatter::ordering::scatter_order;
 use grid_scatter::scatter::planner::Strategy as PlanStrategy;
+use gs_numeric::Rational;
 use proptest::prelude::*;
 
 // Silence the unused-import lint for Plan (used in type positions only on
@@ -50,6 +51,56 @@ fn nonmonotone_platform_strategy(max_p: usize) -> impl Strategy<Value = Platform
         }
         Platform::new(procs, 0).unwrap()
     })
+}
+
+/// Random affine platform for the LP solvers: the intercepts are drawn
+/// on a scale of either 1e-2 s or 10 s per message, so that about half
+/// the cases are intercept-heavy — constraints whose constant part alone
+/// rivals the optimum, where the structured solve must fall back.
+fn lp_platform_strategy(max_p: usize) -> impl Strategy<Value = Platform> {
+    let worker = (0u32..=50, 1u32..=300, 0u32..=50, 1u32..=300);
+    (proptest::collection::vec(worker, 1..max_p), 1u32..=300, 0u32..=1)
+        .prop_map(|(workers, root_a, heavy)| {
+            let scale = if heavy == 1 { 10.0 } else { 1e-2 };
+            let mut procs =
+                vec![Processor::affine("root", 0.0, 0.0, 0.0, root_a as f64 * 1e-2)];
+            for (i, (bi, b, ai, a)) in workers.into_iter().enumerate() {
+                procs.push(Processor::affine(
+                    format!("w{i}"),
+                    bi as f64 * scale,
+                    b as f64 * 1e-3,
+                    ai as f64 * scale,
+                    a as f64 * 1e-2,
+                ));
+            }
+            Platform::new(procs, 0).unwrap()
+        })
+}
+
+/// Exact `(intercept, slope)` pairs of a processor's comm and comp costs.
+fn exact_affine(p: &Processor) -> [Rational; 4] {
+    let (b, beta) = p.comm.affine_params().unwrap();
+    let (a, alpha) = p.comp.affine_params().unwrap();
+    [b, beta, a, alpha].map(|v| Rational::from_f64(v).unwrap())
+}
+
+/// Eq. (4) in exact rationals: the rounded counts' makespan `T'` (Eq. 2
+/// with the exact affine costs) lies in
+/// `[T_rat, T_rat + Σ_j Tcomm(j, 1) + max_i Tcomp(i, 1)]`.
+fn eq4_holds_exactly(view: &[&Processor], counts: &[usize], t_rat: &Rational) -> bool {
+    let mut clock = Rational::zero();
+    let mut t_prime = Rational::zero();
+    let mut comm_one = Rational::zero();
+    let mut comp_one_max = Rational::zero();
+    for (p, &c) in view.iter().zip(counts) {
+        let [b, beta, a, alpha] = exact_affine(p);
+        let c = Rational::from(c);
+        clock += &(&b + &(&beta * &c));
+        t_prime = t_prime.max(&(&clock + &a) + &(&alpha * &c));
+        comm_one += &(&b + &beta);
+        comp_one_max = comp_one_max.max(&a + &alpha);
+    }
+    *t_rat <= t_prime && t_prime <= &(t_rat + &comm_one) + &comp_one_max
 }
 
 /// Random linear platform: root first (beta 0), then workers.
@@ -94,6 +145,36 @@ proptest! {
         prop_assert!(exact.makespan <= h.makespan * (1.0 + 1e-12) + 1e-12);
         prop_assert!(h.makespan <= h.guarantee_bound * (1.0 + 1e-12) + 1e-12,
                      "Eq.(4) violated: {} > {}", h.makespan, h.guarantee_bound);
+    }
+
+    /// The structured solve of Eq. (3) against the general simplex on
+    /// random affine platforms: the same exact `T` on every case, and on
+    /// every certified case the same shares and counts, bit for bit.
+    /// Eq. (4) holds in exact rationals whichever solver answered.
+    #[test]
+    fn structured_lp_matches_simplex(platform in lp_platform_strategy(8), n in 0usize..=5_000) {
+        let order = scatter_order(&platform, OrderPolicy::DescendingBandwidth);
+        let view = platform.ordered(&order);
+        let h = heuristic_distribution(&view, n).unwrap();
+        let simplex = heuristic_distribution_simplex(&view, n).unwrap();
+        prop_assert_eq!(&h.rational_makespan, &simplex.rational_makespan);
+        if h.certified {
+            prop_assert_eq!(&h.rational_shares, &simplex.rational_shares);
+            prop_assert_eq!(&h.counts, &simplex.counts);
+        }
+        prop_assert!(eq4_holds_exactly(&view, &h.counts, &h.rational_makespan),
+                     "Eq. (4) violated: counts {:?}, T {}", h.counts, h.rational_makespan);
+    }
+
+    /// Linear platforms never reach the fallback: Theorems 1–2 make the
+    /// structured vertex optimal, and the certificate must say so.
+    #[test]
+    fn linear_platforms_always_certify(platform in platform_strategy(8), n in 0usize..=100_000) {
+        let order = scatter_order(&platform, OrderPolicy::DescendingBandwidth);
+        let view = platform.ordered(&order);
+        let h = heuristic_distribution(&view, n).unwrap();
+        prop_assert!(h.certified, "linear platform fell back to the simplex");
+        prop_assert!(eq4_holds_exactly(&view, &h.counts, &h.rational_makespan));
     }
 
     /// Closed form and LP agree exactly on linear platforms, and the
