@@ -10,10 +10,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gs_bench::experiments::runtimes::dp_perf_platform;
 use gs_scatter::cost_table::CostTable;
 use gs_scatter::ordering::{scatter_order, OrderPolicy};
-use gs_scatter::parallel::{
-    optimal_distribution_basic_parallel_timed, optimal_distribution_dc_parallel_timed,
-    optimal_distribution_parallel_timed, ParallelOpts,
-};
+use gs_scatter::parallel::{solve, Kernel, ParallelOpts};
 
 fn bench_dc_dp(c: &mut Criterion) {
     let serial = ParallelOpts { threads: 1, prune: false, chunk: 0 };
@@ -34,21 +31,14 @@ fn bench_dc_dp(c: &mut Criterion) {
             // Algorithm 1 is O(p·n²): only feasible at the small size.
             if n <= 10_000 {
                 group.bench_with_input(BenchmarkId::new("basic", n), &n, |b, &n| {
-                    b.iter(|| {
-                        optimal_distribution_basic_parallel_timed(&table, &view, n, &serial)
-                            .unwrap()
-                    })
+                    b.iter(|| solve(Kernel::Basic, &table, &view, n, &serial).unwrap())
                 });
             }
             group.bench_with_input(BenchmarkId::new("optimized", n), &n, |b, &n| {
-                b.iter(|| {
-                    optimal_distribution_parallel_timed(&table, &view, n, &serial).unwrap()
-                })
+                b.iter(|| solve(Kernel::Optimized, &table, &view, n, &serial).unwrap())
             });
             group.bench_with_input(BenchmarkId::new("dc", n), &n, |b, &n| {
-                b.iter(|| {
-                    optimal_distribution_dc_parallel_timed(&table, &view, n, &serial).unwrap()
-                })
+                b.iter(|| solve(Kernel::Dc, &table, &view, n, &serial).unwrap())
             });
         }
         group.finish();

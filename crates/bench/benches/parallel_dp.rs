@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gs_scatter::cost_table::CostTable;
 use gs_scatter::ordering::{scatter_order, OrderPolicy};
 use gs_scatter::paper::table1_platform;
-use gs_scatter::parallel::{optimal_distribution_parallel_timed, ParallelOpts};
+use gs_scatter::parallel::{solve, Kernel, ParallelOpts};
 
 fn bench_parallel_dp(c: &mut Criterion) {
     let platform = table1_platform();
@@ -29,7 +29,7 @@ fn bench_parallel_dp(c: &mut Criterion) {
     group.sample_size(10);
     for (name, opts) in variants {
         group.bench_with_input(BenchmarkId::new(name, n), &n, |b, &n| {
-            b.iter(|| optimal_distribution_parallel_timed(&table, &view, n, &opts).unwrap())
+            b.iter(|| solve(Kernel::Optimized, &table, &view, n, &opts).unwrap())
         });
     }
     group.finish();

@@ -7,14 +7,10 @@ use std::time::Instant;
 use gs_scatter::closed_form::closed_form_distribution;
 use gs_scatter::cost::Platform;
 use gs_scatter::cost_table::CostTable;
-use gs_scatter::dp_basic::optimal_distribution_basic_with;
-use gs_scatter::dp_optimized::optimal_distribution_with;
 use gs_scatter::heuristic::heuristic_distribution;
 use gs_scatter::ordering::{scatter_order, OrderPolicy};
 use gs_scatter::paper::table1_platform;
-use gs_scatter::parallel::{
-    optimal_distribution_dc_parallel_timed, optimal_distribution_parallel_timed, ParallelOpts,
-};
+use gs_scatter::parallel::{solve, Kernel, ParallelOpts};
 
 /// Measured solver runtimes at one problem size.
 #[derive(Debug, Clone)]
@@ -45,12 +41,14 @@ pub fn algo_runtimes(ns: &[usize], basic_cap: usize) -> Vec<RuntimeRow> {
         .map(|&n| {
             let basic = (n <= basic_cap).then(|| {
                 let t = Instant::now();
-                let s = optimal_distribution_basic_with(&table, &view, n).unwrap();
+                let (s, _) =
+                    solve(Kernel::Basic, &table, &view, n, &ParallelOpts::serial()).unwrap();
                 assert_eq!(s.counts.iter().sum::<usize>(), n);
                 t.elapsed().as_secs_f64()
             });
             let t = Instant::now();
-            let s = optimal_distribution_with(&table, &view, n).unwrap();
+            let (s, _) =
+                solve(Kernel::Optimized, &table, &view, n, &ParallelOpts::serial()).unwrap();
             assert_eq!(s.counts.iter().sum::<usize>(), n);
             let optimized = t.elapsed().as_secs_f64();
 
@@ -104,7 +102,8 @@ pub fn heuristic_error(ns: &[usize]) -> Vec<ErrorRow> {
     let table = CostTable::new();
     ns.iter()
         .map(|&n| {
-            let exact = optimal_distribution_with(&table, &view, n).unwrap();
+            let (exact, _) =
+                solve(Kernel::Optimized, &table, &view, n, &ParallelOpts::serial()).unwrap();
             let h = heuristic_distribution(&view, n).unwrap();
             let rel_error = (h.makespan - exact.makespan) / exact.makespan;
             ErrorRow {
@@ -198,8 +197,7 @@ pub fn dp_perf_trajectory(cases: &[(usize, usize)], threads: usize) -> Vec<DpPer
             }
             let time = |opts: &ParallelOpts| {
                 let t = Instant::now();
-                let (sol, _) =
-                    optimal_distribution_parallel_timed(&table, &view, n, opts).unwrap();
+                let (sol, _) = solve(Kernel::Optimized, &table, &view, n, opts).unwrap();
                 (t.elapsed().as_secs_f64(), sol)
             };
             let (serial_secs, base) =
@@ -210,7 +208,8 @@ pub fn dp_perf_trajectory(cases: &[(usize, usize)], threads: usize) -> Vec<DpPer
             let (parallel_pruned_secs, both) =
                 time(&ParallelOpts { threads, prune: true, chunk: 0 });
             let t = Instant::now();
-            let (dc, _) = optimal_distribution_dc_parallel_timed(
+            let (dc, _) = solve(
+                Kernel::Dc,
                 &table,
                 &view,
                 n,

@@ -134,7 +134,7 @@ pub fn render_report(report: &PlanReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dp_optimized::optimal_distribution;
+    use crate::parallel::{tests::serial_solve, Kernel};
     use crate::heuristic::heuristic_distribution;
 
     fn procs() -> Vec<Processor> {
@@ -150,7 +150,7 @@ mod tests {
         let ps = procs();
         let view: Vec<&Processor> = ps.iter().collect();
         for n in [1usize, 100, 5_000] {
-            let exact = optimal_distribution(&view, n).unwrap();
+            let exact = serial_solve(Kernel::Optimized, &view, n).unwrap();
             let b = lower_bounds(&view, n);
             assert!(
                 b.best <= exact.makespan + 1e-9,
@@ -170,7 +170,7 @@ mod tests {
         let view: Vec<&Processor> = ps.iter().collect();
         let b = lower_bounds(&view, 10);
         assert!((b.work_bound - 5.0).abs() < 1e-12);
-        let exact = optimal_distribution(&view, 10).unwrap();
+        let exact = serial_solve(Kernel::Optimized, &view, 10).unwrap();
         assert!((exact.makespan - b.best).abs() < 1e-12);
     }
 

@@ -9,7 +9,8 @@
 
 use crate::cost::{Platform, Processor};
 use crate::distribution::makespan;
-use crate::dp_basic::DpSolution;
+use crate::cost_table::CostTable;
+use crate::parallel::{solve, DpSolution, Kernel, ParallelOpts};
 
 /// Exhaustively enumerates every distribution of `n` items over
 /// `procs.len()` processors and returns the best (Eq. 2 minimal).
@@ -72,8 +73,9 @@ pub fn best_order_exhaustive(platform: &Platform, n: usize) -> BestOrder {
         let mut order = perm.to_vec();
         order.push(root);
         let view = platform.ordered(&order);
-        let sol = crate::dp_optimized::optimal_distribution(&view, n)
-            .expect("brute-force order search requires increasing costs");
+        let (sol, _) =
+            solve(Kernel::Optimized, &CostTable::new(), &view, n, &ParallelOpts::serial())
+                .expect("brute-force order search requires increasing costs");
         if best.as_ref().is_none_or(|b| sol.makespan < b.makespan) {
             best = Some(BestOrder { order, counts: sol.counts, makespan: sol.makespan });
         }
@@ -99,6 +101,7 @@ pub fn permute<T: Clone>(items: &mut [T], k: usize, f: &mut impl FnMut(&[T])) {
 mod tests {
     use super::*;
     use crate::cost::Processor;
+    use crate::parallel::tests::serial_solve;
 
     #[test]
     fn brute_force_trivial() {
@@ -155,7 +158,7 @@ mod tests {
         let best = best_order_exhaustive(&plat, 12);
         assert_eq!(*best.order.last().unwrap(), 0, "root stays last");
         let desc_view = plat.ordered(&[2, 1, 0]);
-        let desc = crate::dp_optimized::optimal_distribution(&desc_view, 12).unwrap();
+        let desc = serial_solve(Kernel::Optimized, &desc_view, 12).unwrap();
         assert!(best.makespan <= desc.makespan + 1e-12);
         // At a size where the integer effects wash out, descending
         // bandwidth is strictly best (Theorem 3).

@@ -1,13 +1,12 @@
 //! Shared per-cell kernels and the flat DP plane of the three dynamic
 //! programs.
 //!
-//! Algorithm 1 ([`crate::dp_basic`]), Algorithm 2
-//! ([`crate::dp_optimized`]) and the divide-and-conquer kernel
-//! ([`crate::dp_dc`]) all fill a table column by column:
+//! Algorithm 1, Algorithm 2 and the divide-and-conquer kernel (the
+//! three [`crate::parallel::Kernel`]s) all fill a table column by column:
 //! `cost[d, i] = min_e Tcomm(i,e) + max(Tcomp(i,e), cost[d-e, i+1])`,
 //! where column `i` depends only on column `i+1`. The per-cell work is
-//! factored out here so the serial solvers, the multi-threaded engine
-//! ([`crate::parallel`]) and the pruned variant all execute the *same
+//! factored out here so the serial, multi-threaded and pruned solves of
+//! the engine ([`crate::parallel`]) all execute the *same
 //! floating-point operations in the same order* — which is what makes
 //! their results bit-identical, a property the test-suite enforces.
 //!

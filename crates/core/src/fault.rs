@@ -13,12 +13,9 @@
 //!   retry with exponential backoff, and the re-plan strategy used to
 //!   redistribute undelivered items over the survivors;
 //! * [`FaultSession`] — the mutable *oracle* that decides the fate of
-//!   each send attempt. Both `gs-gridsim`'s fault simulator and
-//!   `gs-minimpi`'s fault-tolerant runtime drive the same oracle with
-//!   the same `f64` inputs, so the two produce bit-identical schedules.
-//!   The session also owns a [`PlanCache`] holding the DP plane of the
-//!   last exact solve, so repeated re-plans within one recovery episode
-//!   warm-start instead of recomputing everything;
+//!   each send attempt. The session also owns a [`PlanCache`] holding
+//!   the DP plane of the last exact solve, so repeated re-plans within
+//!   one recovery episode warm-start instead of recomputing everything;
 //! * [`replan_residual`] (and the cache-aware [`replan_residual_with`])
 //!   — the re-plan step itself: an optimal distribution of the residual
 //!   workload over the surviving processors (preserving their relative
@@ -31,7 +28,12 @@
 //!   identities of the trailing processors, so a survivor set whose
 //!   suffix does not match the cached solve (different processors,
 //!   different cost kind, or a re-measured platform) simply misses and
-//!   the solve runs cold.
+//!   the solve runs cold;
+//! * [`scatter_schedule`] — the root's round loop: send every block
+//!   through the oracle, re-plan what was not delivered, repeat. Both
+//!   `gs-gridsim`'s fault simulator and `gs-minimpi`'s fault-tolerant
+//!   runtime replay the one [`ScatterSchedule`] it returns, so the two
+//!   produce bit-identical schedules.
 //!
 //! Everything here is deterministic: the same plan, platform and
 //! recovery policy always produce the same recovery schedule, with or
@@ -780,10 +782,8 @@ impl FaultSession {
 
 /// The [`Incident`]s a [`SendOutcome`] contributes to a trace: one
 /// `fault` per failed attempt (at the moment the failure is detected)
-/// and one `retry` at the start of each re-attempt. Shared by the
-/// simulator and the runtime so both label identical schedules with
-/// identical incident streams.
-pub fn outcome_incidents(
+/// and one `retry` at the start of each re-attempt.
+fn outcome_incidents(
     rank: usize,
     items: u64,
     name: &str,
@@ -904,7 +904,7 @@ pub fn replan_residual_with(
 /// `(lo, hi)`, splitting the boundary range if needed. Returns the
 /// taken ranges; the pool keeps the rest. Panics if the pool holds
 /// fewer than `want` items.
-pub fn take_items(pool: &mut Vec<(u64, u64)>, want: u64) -> Vec<(u64, u64)> {
+fn take_items(pool: &mut Vec<(u64, u64)>, want: u64) -> Vec<(u64, u64)> {
     let mut taken = Vec::new();
     let mut need = want;
     while need > 0 {
@@ -921,6 +921,169 @@ pub fn take_items(pool: &mut Vec<(u64, u64)>, want: u64) -> Vec<(u64, u64)> {
         }
     }
     taken
+}
+
+// ---- the recovery round loop -----------------------------------------------
+
+/// One successful block delivery (there may be several per rank once
+/// re-planning kicks in).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Delivery {
+    /// Receiving rank (scatter position; the root's kept share shows up
+    /// as a delivery to the last rank).
+    pub rank: usize,
+    /// Transfer start time.
+    pub start: f64,
+    /// Transfer end time.
+    pub end: f64,
+    /// Half-open item ranges delivered (more than one after a re-plan
+    /// hands a rank a non-contiguous residual slice).
+    pub ranges: Vec<(u64, u64)>,
+}
+
+/// One re-planning round.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ReplanRecord {
+    /// When the root re-planned (its port-free time).
+    pub t: f64,
+    /// Residual items being redistributed.
+    pub items: u64,
+    /// Scatter positions of the survivors, relative order preserved,
+    /// root last.
+    pub survivors: Vec<usize>,
+    /// Items assigned to each survivor, aligned with `survivors`.
+    pub counts: Vec<u64>,
+}
+
+/// The root's side of one fault-injected scatter: every delivery its
+/// single port made, and what it took to get there.
+#[derive(Debug, Clone)]
+pub struct ScatterSchedule {
+    /// Every successful delivery, in time order.
+    pub deliveries: Vec<Delivery>,
+    /// Every re-planning round, in time order (empty in degraded mode).
+    pub replans: Vec<ReplanRecord>,
+    /// Fault/retry/replan incidents, in time order.
+    pub incidents: Vec<Incident>,
+    /// Which ranks were declared dead.
+    pub dead: Vec<bool>,
+    /// Items lost for good (degraded mode only; always 0 in recovered
+    /// mode).
+    pub lost_items: u64,
+    /// When the root's port is free after the last round.
+    pub port_free: f64,
+}
+
+/// Runs the round loop of a fault-injected scatter from time `start`:
+/// the root sends the planned blocks of `counts` (contiguous in scatter
+/// order, root last, as `procs`) through a [`FaultSession`], and in
+/// recovered mode (`recovery` is `Some`) re-plans the undelivered items
+/// over the survivors until everything is placed.
+///
+/// This is the schedule both the simulator
+/// (`gs_gridsim::fault::simulate_scatter_ft`, which adds the compute
+/// phase) and the runtime (`gs_minimpi`'s `scatterv_ft`, which moves the
+/// bytes) replay, so the two agree bit for bit. Nominal transfer times
+/// are `procs[rank].comm.eval(items)`.
+///
+/// The loop terminates because every round that fails to deliver
+/// everything declares at least one more rank dead, and the root (which
+/// cannot fault) always absorbs its own share.
+pub fn scatter_schedule(
+    procs: &[&Processor],
+    counts: &[usize],
+    faults: &FaultPlan,
+    recovery: Option<&RecoveryConfig>,
+    start: f64,
+) -> Result<ScatterSchedule, PlanError> {
+    assert_eq!(procs.len(), counts.len(), "one count per processor");
+    let p = procs.len();
+    if p == 0 {
+        return Err(PlanError::InvalidPlatform("no processors".into()));
+    }
+    faults.validate(p)?;
+    let root = p - 1;
+    let mut session = FaultSession::new(faults, p);
+    let mut schedule = ScatterSchedule {
+        deliveries: Vec::new(),
+        replans: Vec::new(),
+        incidents: Vec::new(),
+        dead: Vec::new(),
+        lost_items: 0,
+        port_free: start,
+    };
+    let mut pool: Vec<(u64, u64)> = Vec::new();
+
+    // Round 0: the planned blocks, contiguous in scatter order.
+    let mut offset = 0u64;
+    let mut round: Vec<(usize, Vec<(u64, u64)>)> = Vec::new();
+    for (rank, &c) in counts.iter().enumerate() {
+        let lo = offset;
+        offset += c as u64;
+        if c > 0 {
+            round.push((rank, vec![(lo, offset)]));
+        }
+    }
+
+    loop {
+        for (rank, ranges) in round.drain(..) {
+            let items: u64 = ranges.iter().map(|&(lo, hi)| hi - lo).sum();
+            let nominal = procs[rank].comm.eval(items as usize);
+            let out = session.send(rank, schedule.port_free, nominal, recovery);
+            schedule.incidents.extend(outcome_incidents(rank, items, &procs[rank].name, &out));
+            schedule.port_free = out.port_free;
+            match out.delivered {
+                Some((start, end)) => {
+                    schedule.deliveries.push(Delivery { rank, start, end, ranges })
+                }
+                None if recovery.is_some() => pool.extend(ranges),
+                None => schedule.lost_items += items,
+            }
+        }
+        if pool.is_empty() {
+            break;
+        }
+        // Re-plan the residual over the survivors. Only reachable in
+        // recovered mode (degraded mode never fills the pool).
+        let rc = recovery.expect("pool only fills in recovered mode");
+        let residual: u64 = pool.iter().map(|&(lo, hi)| hi - lo).sum();
+        let alive: Vec<bool> = (0..p).map(|r| !session.is_dead(r)).collect();
+        // Re-plans route through the session's plan cache: after the
+        // first one, later rounds warm-start from the surviving DP
+        // columns (bit-identical results, less recomputation).
+        let rp = replan_residual_with(
+            procs,
+            &alive,
+            residual,
+            rc.replan_strategy,
+            Some(session.plan_cache()),
+        )?;
+        let t = schedule.port_free;
+        schedule.incidents.push(Incident {
+            t,
+            kind: IncidentKind::Replan,
+            rank: root,
+            items: residual,
+            info: format!(
+                "redistributing {residual} undelivered items over {} survivors",
+                rp.positions.len()
+            ),
+        });
+        for (&pos, &c) in rp.positions.iter().zip(&rp.counts) {
+            if c > 0 {
+                round.push((pos, take_items(&mut pool, c)));
+            }
+        }
+        debug_assert!(pool.is_empty(), "re-plan must drain the pool");
+        schedule.replans.push(ReplanRecord {
+            t,
+            items: residual,
+            survivors: rp.positions,
+            counts: rp.counts,
+        });
+    }
+    schedule.dead = (0..p).map(|r| session.is_dead(r)).collect();
+    Ok(schedule)
 }
 
 #[cfg(test)]

@@ -384,7 +384,7 @@ mod tests {
     use super::*;
     use crate::closed_form::closed_form_distribution;
     use crate::cost::Processor;
-    use crate::dp_optimized::optimal_distribution;
+    use crate::parallel::{tests::serial_solve, Kernel};
 
     fn view(ps: &[Processor]) -> Vec<&Processor> {
         ps.iter().collect()
@@ -420,7 +420,7 @@ mod tests {
         let v = view(&ps);
         for n in [1usize, 13, 100, 509] {
             let h = heuristic_distribution(&v, n).unwrap();
-            let exact = optimal_distribution(&v, n).unwrap();
+            let exact = serial_solve(Kernel::Optimized, &v, n).unwrap();
             // Sandwich: T_rat <= T_opt <= T' <= bound.
             assert!(h.rational_makespan.to_f64() <= exact.makespan + 1e-9, "n={n}");
             assert!(exact.makespan <= h.makespan + 1e-9, "n={n}");
@@ -441,7 +441,7 @@ mod tests {
         assert_eq!(h.counts.iter().sum::<usize>(), n);
         assert!(h.makespan <= h.guarantee_bound + 1e-9);
         // Against the exact DP (affine costs are increasing):
-        let exact = optimal_distribution(&v, n).unwrap();
+        let exact = serial_solve(Kernel::Optimized, &v, n).unwrap();
         assert!(exact.makespan <= h.makespan + 1e-9);
         assert!(h.makespan <= h.guarantee_bound + 1e-9);
         // The certified structured vertex is the simplex's.
@@ -465,7 +465,7 @@ mod tests {
         let v = view(&ps);
         let n = 20_000;
         let h = heuristic_distribution(&v, n).unwrap();
-        let exact = optimal_distribution(&v, n).unwrap();
+        let exact = serial_solve(Kernel::Optimized, &v, n).unwrap();
         let rel = (h.makespan - exact.makespan) / exact.makespan;
         assert!(rel >= -1e-12, "heuristic cannot beat the optimum");
         assert!(rel < 1e-4, "relative error {rel} too large");

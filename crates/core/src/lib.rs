@@ -25,11 +25,14 @@
 //!
 //! ## Solvers
 //!
-//! | module | paper | requirements | complexity |
+//! The three exact dynamic programs are kernels of one entry point,
+//! [`parallel::solve`].
+//!
+//! | solver | paper | requirements | complexity |
 //! |---|---|---|---|
-//! | [`dp_basic`] | Algorithm 1 | non-negative costs | `O(p·n²)` |
-//! | [`dp_optimized`] | Algorithm 2 | increasing costs | `O(p·n²)` worst, `~O(p·n·log n)` typical |
-//! | [`dp_dc`] | D&C extension | increasing costs (else falls back to Alg. 1) | `O(p·n·log n)` |
+//! | [`Kernel::Basic`](parallel::Kernel::Basic) | Algorithm 1 | non-negative costs | `O(p·n²)` |
+//! | [`Kernel::Optimized`](parallel::Kernel::Optimized) | Algorithm 2 | increasing costs | `O(p·n²)` worst, `~O(p·n·log n)` typical |
+//! | [`Kernel::Dc`](parallel::Kernel::Dc) | D&C extension | increasing costs (else falls back to Alg. 1) | `O(p·n·log n)` |
 //! | [`heuristic`] | §3.3 LP + rounding | affine costs | polynomial, guaranteed (Eq. 4) |
 //! | [`closed_form`] | §4, Theorems 1–2 | linear costs | `O(p)`, exact rational |
 //!
@@ -71,10 +74,7 @@ pub mod closed_form;
 pub mod cost;
 pub mod cost_table;
 pub mod distribution;
-pub mod dp_basic;
-pub mod dp_dc;
 mod dp_kernel;
-pub mod dp_optimized;
 pub mod error;
 pub mod fault;
 pub mod gather;
@@ -98,9 +98,6 @@ pub mod prelude {
     pub use crate::cost::{CostFn, Platform, Processor};
     pub use crate::cost_table::CostTable;
     pub use crate::distribution::{finish_times, makespan, uniform_distribution, Timeline};
-    pub use crate::dp_basic::optimal_distribution_basic;
-    pub use crate::dp_dc::optimal_distribution_dc;
-    pub use crate::dp_optimized::optimal_distribution;
     pub use crate::error::PlanError;
     pub use crate::fault::{
         replan_residual, replan_residual_with, Fault, FaultKind, FaultPlan, FaultSession,
@@ -112,10 +109,7 @@ pub mod prelude {
     pub use crate::obs::{
         Event, EventKind, Incident, IncidentKind, PlanTiming, Trace, TraceSource, TraceSummary,
     };
-    pub use crate::parallel::{
-        optimal_distribution_basic_parallel, optimal_distribution_dc_parallel,
-        optimal_distribution_parallel, ParallelOpts,
-    };
+    pub use crate::parallel::{solve, DpSolution, Kernel, ParallelOpts};
     pub use crate::ordering::{scatter_order, OrderPolicy};
     pub use crate::planner::{Plan, PlanCache, Planner, Strategy};
     pub use crate::root::select_root;

@@ -4,8 +4,8 @@
 use super::{Trace, TraceSummary};
 
 /// Minimal CSV field escaping (RFC 4180: quote fields containing `,`,
-/// `"` or newlines).
-fn escape(s: &str) -> String {
+/// `"` or newlines) — shared by every CSV writer in the workspace.
+pub fn escape(s: &str) -> String {
     if s.contains(',') || s.contains('"') || s.contains('\n') {
         format!("\"{}\"", s.replace('"', "\"\""))
     } else {
@@ -226,6 +226,13 @@ mod tests {
             assert_eq!(row[12].parse::<usize>().unwrap(), summary.retries);
             assert_eq!(row[13].parse::<usize>().unwrap(), summary.replans);
         }
+    }
+
+    #[test]
+    fn csv_escaping() {
+        assert_eq!(escape("plain"), "plain");
+        assert_eq!(escape("a,b"), "\"a,b\"");
+        assert_eq!(escape("q\"q"), "\"q\"\"q\"");
     }
 
     #[test]

@@ -292,13 +292,18 @@ impl Json {
     }
 }
 
-/// Parses a JSON document.
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so an unbounded depth would let a line of `[`s (a
+/// `gs serve` request, say) overflow the stack and abort the process.
+const MAX_DEPTH: usize = 64;
+
+/// Parses a JSON document. Arrays and objects may nest at most 64
+/// levels deep; deeper input is an error.
 pub fn parse(text: &str) -> Result<Json, TraceError> {
-    let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
+    let value = parse_value(text, &mut pos, 0)?;
+    skip_ws(text.as_bytes(), &mut pos);
+    if pos != text.len() {
         return Err(TraceError(format!("trailing garbage at byte {pos}")));
     }
     Ok(value)
@@ -320,12 +325,21 @@ fn expect(bytes: &[u8], pos: &mut usize, c: u8) -> Result<(), TraceError> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, TraceError> {
+/// Parses one value nested `depth` arrays/objects deep.
+fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Json, TraceError> {
+    let bytes = text.as_bytes();
     skip_ws(bytes, pos);
+    let open = matches!(bytes.get(*pos), Some(b'{' | b'['));
+    if open && depth >= MAX_DEPTH {
+        return Err(TraceError(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {}",
+            *pos
+        )));
+    }
     match bytes.get(*pos) {
-        Some(b'{') => parse_obj(bytes, pos),
-        Some(b'[') => parse_arr(bytes, pos),
-        Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
+        Some(b'{') => parse_obj(text, pos, depth + 1),
+        Some(b'[') => parse_arr(text, pos, depth + 1),
+        Some(b'"') => Ok(Json::Str(parse_string(text, pos)?)),
         Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
         Some(b'n') => parse_lit(bytes, pos, "null", Json::Null),
@@ -357,55 +371,53 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, TraceError> {
         .map_err(|_| TraceError(format!("bad number `{text}` at byte {start}")))
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, TraceError> {
+fn parse_string(text: &str, pos: &mut usize) -> Result<String, TraceError> {
+    let bytes = text.as_bytes();
     expect(bytes, pos, b'"')?;
     let mut out = String::new();
     loop {
-        match bytes.get(*pos) {
-            None => return Err(TraceError("unterminated string".into())),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or_else(|| TraceError("truncated \\u escape".into()))?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| TraceError(format!("bad \\u escape `{hex}`")))?;
-                        out.push(
-                            char::from_u32(code)
-                                .ok_or_else(|| TraceError(format!("bad code point {code}")))?,
-                        );
-                        *pos += 4;
-                    }
-                    _ => return Err(TraceError("bad escape".into())),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one full UTF-8 character.
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| TraceError("non-utf8 string".into()))?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
-            }
+        // Copy the run of unescaped characters up to the next `"` or
+        // `\\` in one slice: both delimiters are ASCII, so the slice
+        // boundaries are always character boundaries of `text`.
+        let run = bytes[*pos..].iter().position(|&b| b == b'"' || b == b'\\');
+        let Some(run) = run else {
+            return Err(TraceError("unterminated string".into()));
+        };
+        out.push_str(&text[*pos..*pos + run]);
+        *pos += run;
+        if bytes[*pos] == b'"' {
+            *pos += 1;
+            return Ok(out);
         }
+        *pos += 1;
+        match bytes.get(*pos) {
+            Some(b'"') => out.push('"'),
+            Some(b'\\') => out.push('\\'),
+            Some(b'/') => out.push('/'),
+            Some(b'n') => out.push('\n'),
+            Some(b'r') => out.push('\r'),
+            Some(b't') => out.push('\t'),
+            Some(b'u') => {
+                let hex = bytes
+                    .get(*pos + 1..*pos + 5)
+                    .and_then(|h| std::str::from_utf8(h).ok())
+                    .ok_or_else(|| TraceError("truncated \\u escape".into()))?;
+                let code = u32::from_str_radix(hex, 16)
+                    .map_err(|_| TraceError(format!("bad \\u escape `{hex}`")))?;
+                out.push(
+                    char::from_u32(code)
+                        .ok_or_else(|| TraceError(format!("bad code point {code}")))?,
+                );
+                *pos += 4;
+            }
+            _ => return Err(TraceError("bad escape".into())),
+        }
+        *pos += 1;
     }
 }
 
-fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, TraceError> {
+fn parse_arr(text: &str, pos: &mut usize, depth: usize) -> Result<Json, TraceError> {
+    let bytes = text.as_bytes();
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -414,7 +426,7 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, TraceError> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(text, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -427,7 +439,8 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, TraceError> {
     }
 }
 
-fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, TraceError> {
+fn parse_obj(text: &str, pos: &mut usize, depth: usize) -> Result<Json, TraceError> {
+    let bytes = text.as_bytes();
     expect(bytes, pos, b'{')?;
     let mut members = Vec::new();
     skip_ws(bytes, pos);
@@ -437,9 +450,9 @@ fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, TraceError> {
     }
     loop {
         skip_ws(bytes, pos);
-        let key = parse_string(bytes, pos)?;
+        let key = parse_string(text, pos)?;
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(text, pos, depth)?;
         members.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -900,6 +913,32 @@ mod tests {
         );
         let back = trace_from_json(&trace_to_json(&trace)).unwrap();
         assert_eq!(back.names, trace.names);
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // Multi-byte characters and escapes throughout: every run copied
+        // as one slice must still split only at character boundaries.
+        let content = "ab\u{e9}\"\\c\u{1f600}\n".repeat(1 << 17);
+        assert!(content.len() >= 1 << 20);
+        let mut doc = String::new();
+        push_escaped(&mut doc, &content);
+        let t0 = std::time::Instant::now();
+        let parsed = parse(&doc).unwrap();
+        let secs = t0.elapsed().as_secs_f64();
+        assert_eq!(parsed.as_str(), Some(content.as_str()));
+        assert!(secs < 2.0, "a 1 MB string took {secs:.2} s to parse");
+    }
+
+    #[test]
+    fn nesting_bombs_are_errors_not_stack_overflows() {
+        for bomb in ["[".repeat(20_000), r#"{"a":"#.repeat(20_000)] {
+            assert!(parse(&bomb).is_err());
+        }
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        let err = parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.0.contains("nesting deeper than 64"), "{err}");
     }
 
     #[test]

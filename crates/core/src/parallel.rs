@@ -1,11 +1,13 @@
-//! Multi-threaded, optionally pruned driver for the exact dynamic
-//! programs (the "parallel planning engine").
+//! The exact dynamic programs — the paper's Algorithms 1 and 2 and the
+//! divide-and-conquer kernel, selected by [`Kernel`] — behind one
+//! multi-threaded, optionally pruned entry point, [`solve`] (the
+//! "parallel planning engine").
 //!
 //! The paper's own measurements make planning the bottleneck: Algorithm 1
 //! needed *more than two days* at `n = 817,101, p = 16`, Algorithm 2
 //! about six minutes. Three independent levers bring that down, all
 //! behind one engine so every combination stays **bit-identical** to the
-//! serial solvers:
+//! serial solve:
 //!
 //! * **Column parallelism.** Column `cost[·, i]` depends only on column
 //!   `i + 1`, so its `n + 1` cells are embarrassingly parallel. The
@@ -33,7 +35,7 @@
 //!   repeated solves (and repeated processors within one platform)
 //!   evaluate each cost function once.
 //!
-//! The timed entry points also report a [`PlanTiming`] block —
+//! [`solve`] also reports a [`PlanTiming`] block —
 //! tabulation vs solve split, thread count, cache statistics — which the
 //! planner attaches to plans and traces (see `docs/performance.md`).
 
@@ -42,7 +44,6 @@ use std::time::Instant;
 
 use crate::cost::Processor;
 use crate::cost_table::CostTable;
-use crate::dp_basic::{validate_procs, DpSolution};
 use crate::dp_kernel::{self, DpPlane, MAX_ITEMS};
 use crate::error::PlanError;
 use crate::metrics::{Counter, Histogram, Registry};
@@ -78,17 +79,91 @@ impl DpStats {
     }
 }
 
-/// Which dynamic program the engine runs.
+/// Which exact dynamic program [`solve`] runs.
+///
+/// All three compute the paper's recurrence — the time to process `d`
+/// items on processors `i..p` (scatter order, root last) is
+///
+/// ```text
+/// cost[d, i] = min_{0 <= e <= d}  Tcomm(i, e) + max(Tcomp(i, e), cost[d-e, i+1])
+/// cost[d, p] = Tcomm(p, d) + Tcomp(p, d)
+/// ```
+///
+/// — in `O(p·n)` space (one `f64` cost column per suffix plus a `u32`
+/// choice column for reconstruction), and every kernel returns
+/// bit-identical counts and makespans on the inputs it accepts (a
+/// property the test-suite enforces).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Algo {
-    /// Algorithm 1: full candidate scan, arbitrary non-negative costs.
+pub enum Kernel {
+    /// Algorithm 1 of the paper: the full candidate scan, for arbitrary
+    /// non-negative cost functions. `O(p·n²)`; the paper reports more
+    /// than two days at `n = 817,101`, `p = 16`.
+    ///
+    /// Note on the paper's pseudo-code: Algorithm 1 as printed updates
+    /// `solution[d, i]`/`cost[d, i]` *inside* the inner `e`-loop (lines
+    /// 17–18); the intended placement — used here — is after the loop.
     Basic,
-    /// Algorithm 2: binary search + early exit, non-decreasing costs.
+    /// Algorithm 2 of the paper, valid when all cost functions are
+    /// **non-decreasing**. Two observations shrink Algorithm 1's inner
+    /// loop:
+    ///
+    /// 1. `Tcomp(i, e)` is non-decreasing in `e` while `cost[d-e, i+1]`
+    ///    is non-increasing, so there is a threshold `emax` (found by
+    ///    binary search) above which `max(Tcomp, cost) = Tcomp`; at and
+    ///    beyond `emax` the candidate `Tcomm + Tcomp` is non-decreasing,
+    ///    so only `emax` itself needs to be evaluated there.
+    /// 2. Scanning `e` downward from `emax - 1`, the candidate is
+    ///    `Tcomm(i,e) + cost[d-e, i+1]`; once `cost[d-e, i+1]` alone
+    ///    reaches the current minimum the scan can stop (`Tcomm >= 0`).
+    ///
+    /// Worst case `O(p·n²)`, best case `O(p·n)`; the paper measured 6
+    /// minutes at `n = 817,101`. Monotonicity is checked (cheaply by
+    /// sampling, then exactly on the tabulated values) and a violation
+    /// is [`PlanError::NotIncreasing`]. The only kernel that supports
+    /// upper-bound pruning ([`ParallelOpts::prune`]).
     Optimized,
-    /// Divide-and-conquer over the monotone crossing point,
-    /// non-decreasing costs; bit-identical to Algorithm 2
-    /// (see [`crate::dp_dc`]).
+    /// Divide and conquer over the monotone crossing point: Algorithm
+    /// 2's answer in `O(p·n log n)`. Algorithm 2 binary-searches each
+    /// cell's crossing point `c(d)` — the smallest `e` with
+    /// `Tcomp(i,e) >= cost[d-e, i+1]` — but for non-decreasing costs the
+    /// crossing moves by at most one step per cell
+    /// (`c(d) <= c(d+1) <= c(d) + 1`). This kernel computes the crossing
+    /// of the middle cell inside the window bounded by its neighbours'
+    /// crossings and recurses on both halves, `O(n + log n)` probes for
+    /// a whole range of cells; every cell then runs exactly Algorithm
+    /// 2's comparisons from its crossing point, so counts, makespans and
+    /// tie-breaks are bit-identical to [`Kernel::Optimized`].
+    ///
+    /// The monotonicity this rests on is checked at run time, twice:
+    /// exactly at solve entry on the tabulated costs — costs that are
+    /// not non-decreasing demote the whole solve to [`Kernel::Basic`]
+    /// (counted by `dp_dc_fallbacks_total`), so arbitrary non-negative
+    /// costs are *not* an error here — and defensively per column on the
+    /// previous column's values, where a violation (a floating-point
+    /// surprise, not an expected input) demotes just that column to the
+    /// full scan (`dp_dc_column_fallbacks_total`). Each worker chunk
+    /// runs its own recursion; see `docs/performance.md` for the kernel
+    /// hierarchy and measured speedups.
     Dc,
+}
+
+/// Result of an exact DP solve.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DpSolution {
+    /// Optimal counts, in scatter order (same order as the input slice).
+    pub counts: Vec<usize>,
+    /// The optimal makespan (Eq. 2) of `counts`.
+    pub makespan: f64,
+}
+
+fn validate_procs(procs: &[&Processor], n: usize) -> Result<(), PlanError> {
+    if procs.is_empty() {
+        return Err(PlanError::InvalidPlatform("no processors".into()));
+    }
+    for (i, p) in procs.iter().enumerate() {
+        p.validate(i, n)?;
+    }
+    Ok(())
 }
 
 /// Trailing columns of a previous solve, reused to warm-start a new one.
@@ -125,8 +200,7 @@ pub struct ParallelOpts {
 }
 
 impl ParallelOpts {
-    /// Options reproducing the plain serial solvers (one thread, no
-    /// pruning).
+    /// The serial solve: one thread, no pruning.
     pub fn serial() -> Self {
         ParallelOpts { threads: 1, prune: false, chunk: 0 }
     }
@@ -157,14 +231,19 @@ fn chunk_size(len: usize, threads: usize, requested: usize) -> usize {
 /// evaluation of the seeding distribution.
 const BOUND_MARGIN: f64 = 1e-9;
 
-/// Algorithm 2 with explicit engine options.
+/// Solves the exact DP for `n` items over `procs` (in scatter order,
+/// root last) with `kernel`, serving cost tabulations from (and storing
+/// them into) `table`, and returns the optimal distribution with the
+/// solve's [`PlanTiming`].
 ///
-/// Bit-identical to [`crate::dp_optimized::optimal_distribution`] for
-/// every option combination (property-tested).
+/// Every `opts` combination is bit-identical to the serial solve
+/// (property-tested). Reuse one [`CostTable`] across repeated solves on
+/// the same platform (bench sweeps, root selection).
 ///
 /// ```
 /// use gs_scatter::cost::Processor;
-/// use gs_scatter::parallel::{optimal_distribution_parallel, ParallelOpts};
+/// use gs_scatter::cost_table::CostTable;
+/// use gs_scatter::parallel::{solve, Kernel, ParallelOpts};
 ///
 /// let procs = vec![
 ///     Processor::linear("worker", 0.1, 1.0),
@@ -172,98 +251,42 @@ const BOUND_MARGIN: f64 = 1e-9;
 /// ];
 /// let view: Vec<&Processor> = procs.iter().collect();
 /// let opts = ParallelOpts { threads: 2, prune: true, chunk: 0 };
-/// let sol = optimal_distribution_parallel(&view, 500, &opts).unwrap();
-/// assert_eq!(sol.counts.iter().sum::<usize>(), 500);
+/// let (sol, timing) = solve(Kernel::Optimized, &CostTable::new(), &view, 30, &opts).unwrap();
+/// assert_eq!(sol.counts.iter().sum::<usize>(), 30);
+/// // The faster worker carries more than the root.
+/// assert!(sol.counts[0] > sol.counts[1]);
+/// assert_eq!(timing.strategy, "exact");
 /// ```
-pub fn optimal_distribution_parallel(
+pub fn solve(
+    kernel: Kernel,
+    table: &CostTable,
     procs: &[&Processor],
     n: usize,
     opts: &ParallelOpts,
-) -> Result<DpSolution, PlanError> {
-    let table = CostTable::new();
-    solve(Algo::Optimized, &table, procs, n, opts).map(|(sol, _)| sol)
+) -> Result<(DpSolution, PlanTiming), PlanError> {
+    solve_full(kernel, table, procs, n, opts, None).map(|(sol, timing, _)| (sol, timing))
 }
 
-/// Algorithm 1 with explicit engine options (pruning is ignored — it
-/// relies on monotonicity Algorithm 1 does not assume).
-pub fn optimal_distribution_basic_parallel(
-    procs: &[&Processor],
-    n: usize,
-    opts: &ParallelOpts,
-) -> Result<DpSolution, PlanError> {
-    let table = CostTable::new();
-    solve(Algo::Basic, &table, procs, n, opts).map(|(sol, _)| sol)
-}
-
-/// The divide-and-conquer kernel with explicit engine options.
-///
-/// Bit-identical to [`crate::dp_optimized::optimal_distribution`] for
-/// non-decreasing costs; for costs that are *not* non-decreasing it
-/// silently demotes to the Algorithm-1 kernel (counted by
-/// `dp_dc_fallbacks_total`), so arbitrary non-negative costs stay
-/// correct. Pruning is ignored.
-///
-/// ```
-/// use gs_scatter::cost::Processor;
-/// use gs_scatter::parallel::{optimal_distribution_dc_parallel, ParallelOpts};
-///
-/// let procs = vec![
-///     Processor::linear("worker", 0.1, 1.0),
-///     Processor::linear("root", 0.0, 2.0),
-/// ];
-/// let view: Vec<&Processor> = procs.iter().collect();
-/// let sol = optimal_distribution_dc_parallel(&view, 500, &ParallelOpts::serial()).unwrap();
-/// assert_eq!(sol.counts.iter().sum::<usize>(), 500);
-/// ```
-pub fn optimal_distribution_dc_parallel(
-    procs: &[&Processor],
-    n: usize,
-    opts: &ParallelOpts,
-) -> Result<DpSolution, PlanError> {
-    let table = CostTable::new();
-    solve(Algo::Dc, &table, procs, n, opts).map(|(sol, _)| sol)
-}
-
-/// Algorithm 2 through a shared [`CostTable`], returning the solve's
-/// [`PlanTiming`] alongside the solution.
+/// [`solve`] with [`Kernel::Optimized`]. Kept only because the
+/// end-to-end benchmark (`e2ebench/src/planning.rs`) links it by name.
 pub fn optimal_distribution_parallel_timed(
     table: &CostTable,
     procs: &[&Processor],
     n: usize,
     opts: &ParallelOpts,
 ) -> Result<(DpSolution, PlanTiming), PlanError> {
-    solve(Algo::Optimized, table, procs, n, opts)
+    solve(Kernel::Optimized, table, procs, n, opts)
 }
 
-/// The D&C kernel through a shared [`CostTable`], with timing.
+/// [`solve`] with [`Kernel::Dc`]. Kept only because the end-to-end
+/// benchmark (`e2ebench/src/planning.rs`) links it by name.
 pub fn optimal_distribution_dc_parallel_timed(
     table: &CostTable,
     procs: &[&Processor],
     n: usize,
     opts: &ParallelOpts,
 ) -> Result<(DpSolution, PlanTiming), PlanError> {
-    solve(Algo::Dc, table, procs, n, opts)
-}
-
-/// Algorithm 1 through a shared [`CostTable`], with timing.
-pub fn optimal_distribution_basic_parallel_timed(
-    table: &CostTable,
-    procs: &[&Processor],
-    n: usize,
-    opts: &ParallelOpts,
-) -> Result<(DpSolution, PlanTiming), PlanError> {
-    solve(Algo::Basic, table, procs, n, opts)
-}
-
-/// Engine entry point shared by every public solver; discards the plane.
-pub(crate) fn solve(
-    algo: Algo,
-    table: &CostTable,
-    procs: &[&Processor],
-    n: usize,
-    opts: &ParallelOpts,
-) -> Result<(DpSolution, PlanTiming), PlanError> {
-    solve_full(algo, table, procs, n, opts, None).map(|(sol, timing, _)| (sol, timing))
+    solve(Kernel::Dc, table, procs, n, opts)
 }
 
 /// Full engine entry point: solves, and also returns the DP plane so
@@ -271,7 +294,7 @@ pub(crate) fn solve(
 /// warm-started re-plans. `warm` seeds the trailing columns from a
 /// previous plane (and forces the solve unpruned).
 pub(crate) fn solve_full(
-    algo: Algo,
+    kernel: Kernel,
     table: &CostTable,
     procs: &[&Processor],
     n: usize,
@@ -281,7 +304,7 @@ pub(crate) fn solve_full(
     let start = Instant::now();
     let mut solve_span = span::span("dp", "dp.solve");
     validate_procs(procs, n)?;
-    if algo == Algo::Optimized {
+    if kernel == Kernel::Optimized {
         for (i, pr) in procs.iter().enumerate() {
             if !pr.comm.probably_increasing(n) || !pr.comp.probably_increasing(n) {
                 return Err(PlanError::NotIncreasing { proc: i });
@@ -308,15 +331,15 @@ pub(crate) fn solve_full(
             (comm, comp)
         })
         .collect();
-    let mut run_algo = algo;
-    if algo != Algo::Basic {
+    let mut run_kernel = kernel;
+    if kernel != Kernel::Basic {
         // Exact monotonicity check on the tabulated values: Algorithm 2
         // and the D&C recurrence both depend on it, so sampling is not
         // enough here. The non-decreasing prefix length is cached with
         // the tabulation, making this O(p) per solve.
         for (i, &mono) in monos.iter().enumerate() {
             if mono <= n {
-                if algo == Algo::Dc {
+                if kernel == Kernel::Dc {
                     // The D&C kernel promises correctness for *arbitrary*
                     // costs: demote the whole solve to the full-scan
                     // Algorithm-1 kernel, which assumes nothing.
@@ -327,7 +350,7 @@ pub(crate) fn solve_full(
                              non-monotone cost functions",
                         )
                         .inc();
-                    run_algo = Algo::Basic;
+                    run_kernel = Kernel::Basic;
                     break;
                 }
                 return Err(PlanError::NotIncreasing { proc: i });
@@ -338,13 +361,13 @@ pub(crate) fn solve_full(
     let tabulate_secs = t_tab.elapsed().as_secs_f64();
 
     let t_solve = Instant::now();
-    let ub = if opts.prune && run_algo == Algo::Optimized && warm.is_none() {
+    let ub = if opts.prune && run_kernel == Kernel::Optimized && warm.is_none() {
         upper_bound(procs, n)
     } else {
         None
     };
     let mut engine = Engine {
-        algo: run_algo,
+        kernel: run_kernel,
         tabs: &tabs,
         n,
         p,
@@ -378,10 +401,10 @@ pub(crate) fn solve_full(
     let timing = PlanTiming {
         // The *requested* kernel: a demoted D&C solve still reports
         // `exact-dc` (the demotion is visible in `dp_dc_fallbacks_total`).
-        strategy: match algo {
-            Algo::Basic => "exact-basic".into(),
-            Algo::Optimized => "exact".into(),
-            Algo::Dc => "exact-dc".into(),
+        strategy: match kernel {
+            Kernel::Basic => "exact-basic".into(),
+            Kernel::Optimized => "exact".into(),
+            Kernel::Dc => "exact-dc".into(),
         },
         threads,
         pruned: ub.is_some(),
@@ -399,7 +422,7 @@ pub(crate) fn solve_full(
         .add(timing.cache_misses);
     reg.histogram("dp_solve_seconds", "wall-clock of the DP solve proper")
         .observe(timing.solve_secs);
-    if algo == Algo::Dc {
+    if kernel == Kernel::Dc {
         reg.counter("dp_dc_solves_total", "divide-and-conquer DP solves completed").inc();
         reg.histogram("dp_dc_solve_seconds", "wall-clock of the D&C DP solve proper")
             .observe(timing.solve_secs);
@@ -418,7 +441,7 @@ pub(crate) fn solve_full(
     solve_span.attr("p", p);
     solve_span.attr("threads", threads);
     solve_span.attr("pruned", ub.is_some());
-    solve_span.attr("fallback", run_algo != algo);
+    solve_span.attr("fallback", run_kernel != kernel);
     solve_span.attr("reuse", reuse);
     Ok((DpSolution { counts, makespan }, timing, plane))
 }
@@ -479,7 +502,7 @@ fn upper_bound(procs: &[&Processor], n: usize) -> Option<f64> {
 
 /// One configured solve over pre-tabulated costs.
 struct Engine<'a> {
-    algo: Algo,
+    kernel: Kernel,
     tabs: &'a [TabPair],
     n: usize,
     p: usize,
@@ -504,15 +527,15 @@ impl Engine<'_> {
     /// column (one O(n) sequential scan, negligible next to the column
     /// itself) so that a floating-point surprise degrades to the
     /// full-scan kernel for that column instead of a wrong plan.
-    fn column_algo(&self, prev: &[f64], prev_valid: usize) -> Algo {
-        if self.algo != Algo::Dc {
-            return self.algo;
+    fn column_kernel(&self, prev: &[f64], prev_valid: usize) -> Kernel {
+        if self.kernel != Kernel::Dc {
+            return self.kernel;
         }
         if prev[..=prev_valid].windows(2).any(|w| w[1] < w[0]) {
             self.stats.dc_col_fallbacks.inc();
-            return Algo::Basic;
+            return Kernel::Basic;
         }
-        Algo::Dc
+        Kernel::Dc
     }
 
     /// Runs the column sweep + reconstruction over `plane`. `bound` is
@@ -574,7 +597,7 @@ impl Engine<'_> {
             let prev = &tail[..stride];
             let choice = &mut plane.choice[i * stride..(i + 1) * stride];
             let ctx = ColumnCtx {
-                algo: self.column_algo(prev, prev_valid),
+                kernel: self.column_kernel(prev, prev_valid),
                 comm,
                 comp,
                 prev,
@@ -610,7 +633,7 @@ impl Engine<'_> {
         let (head, tail) = plane.cost.split_at_mut(stride);
         let prev = &tail[..stride];
         let ctx = ColumnCtx {
-            algo: self.column_algo(prev, prev_valid),
+            kernel: self.column_kernel(prev, prev_valid),
             comm,
             comp,
             prev,
@@ -701,7 +724,7 @@ impl Engine<'_> {
 
 /// Everything one column's cells need, shareable across worker threads.
 struct ColumnCtx<'a> {
-    algo: Algo,
+    kernel: Kernel,
     comm: &'a [f64],
     comp: &'a [f64],
     prev: &'a [f64],
@@ -716,12 +739,12 @@ struct ColumnCtx<'a> {
 impl ColumnCtx<'_> {
     #[inline]
     fn cell(&self, d: usize) -> (f64, u32) {
-        match self.algo {
-            Algo::Basic => dp_kernel::basic_cell(self.comm, self.comp, self.prev, d),
+        match self.kernel {
+            Kernel::Basic => dp_kernel::basic_cell(self.comm, self.comp, self.prev, d),
             // The D&C kernel computes whole chunks, not lone cells; a
             // single cell (the top column) goes through Algorithm 2's
             // cell, which is bit-identical.
-            Algo::Optimized | Algo::Dc => {
+            Kernel::Optimized | Kernel::Dc => {
                 let lo = d.saturating_sub(self.prev_valid);
                 let lim = d.min(self.cap);
                 if lo > lim {
@@ -742,7 +765,7 @@ impl ColumnCtx<'_> {
     /// (column values are non-decreasing in `d`, so everything after it
     /// is out of bound too), and the remaining cells are written `+inf`.
     fn run_chunk(&self, start: usize, cost: &mut [f64], choice: &mut [u32]) -> usize {
-        if self.algo == Algo::Dc {
+        if self.kernel == Kernel::Dc {
             debug_assert!(self.bound.is_none(), "the D&C kernel never runs pruned");
             dp_kernel::dc_chunk(self.comm, self.comp, self.prev, start, cost, choice);
             return cost.len();
@@ -765,15 +788,38 @@ impl ColumnCtx<'_> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::brute::brute_force_distribution;
     use crate::cost::{CostFn, Processor};
-    use crate::dp_basic::optimal_distribution_basic;
-    use crate::dp_optimized::optimal_distribution;
+    use crate::distribution::makespan;
     use crate::paper::table1_platform;
+    use Kernel::{Basic, Dc, Optimized};
+
+    const KERNELS: [Kernel; 3] = [Basic, Optimized, Dc];
 
     fn view(ps: &[Processor]) -> Vec<&Processor> {
         ps.iter().collect()
+    }
+
+    /// One solve through a fresh cost table.
+    fn solve_with(
+        kernel: Kernel,
+        v: &[&Processor],
+        n: usize,
+        opts: &ParallelOpts,
+    ) -> Result<DpSolution, PlanError> {
+        solve(kernel, &CostTable::new(), v, n, opts).map(|(sol, _)| sol)
+    }
+
+    /// One serial solve through a fresh cost table (shared with the
+    /// other modules' tests).
+    pub(crate) fn serial_solve(
+        kernel: Kernel,
+        v: &[&Processor],
+        n: usize,
+    ) -> Result<DpSolution, PlanError> {
+        solve_with(kernel, v, n, &ParallelOpts::serial())
     }
 
     fn assert_bit_identical(a: &DpSolution, b: &DpSolution, what: &str) {
@@ -797,15 +843,254 @@ mod tests {
     }
 
     #[test]
+    fn single_processor_takes_all() {
+        for kernel in KERNELS {
+            let ps = vec![Processor::linear("root", 0.0, 2.0)];
+            let sol = serial_solve(kernel, &view(&ps), 10).unwrap();
+            assert_eq!(sol.counts, vec![10]);
+            assert_eq!(sol.makespan, 20.0);
+            let ps = vec![Processor::linear("root", 0.0, 1.5)];
+            let sol = serial_solve(kernel, &view(&ps), 4).unwrap();
+            assert_eq!(sol.counts, vec![4]);
+            assert_eq!(sol.makespan, 6.0);
+        }
+    }
+
+    #[test]
+    fn zero_items() {
+        let ps = vec![
+            Processor::linear("a", 1.0, 1.0),
+            Processor::linear("root", 0.0, 1.0),
+        ];
+        let sol = serial_solve(Basic, &view(&ps), 0).unwrap();
+        assert_eq!(sol.counts, vec![0, 0]);
+        assert_eq!(sol.makespan, 0.0);
+    }
+
+    #[test]
+    fn homogeneous_splits_evenly_without_comm() {
+        // Free communication, equal CPUs: even split is optimal.
+        let ps = vec![
+            Processor::linear("a", 0.0, 1.0),
+            Processor::linear("b", 0.0, 1.0),
+            Processor::linear("root", 0.0, 1.0),
+        ];
+        let sol = serial_solve(Basic, &view(&ps), 9).unwrap();
+        assert_eq!(sol.counts.iter().sum::<usize>(), 9);
+        assert_eq!(sol.makespan, 3.0);
+        assert!(sol.counts.iter().all(|&c| c == 3));
+    }
+
+    #[test]
+    fn slow_link_gets_nothing_when_prohibitive() {
+        // Sending one item to `far` costs more than computing everything
+        // on the root.
+        let ps = vec![
+            Processor::linear("far", 1000.0, 0.001),
+            Processor::linear("root", 0.0, 1.0),
+        ];
+        let sol = serial_solve(Basic, &view(&ps), 5).unwrap();
+        assert_eq!(sol.counts, vec![0, 5]);
+        assert_eq!(sol.makespan, 5.0);
+    }
+
+    #[test]
+    fn matches_brute_force_small() {
+        let ps = vec![
+            Processor::linear("a", 0.5, 2.0),
+            Processor::linear("b", 1.0, 1.0),
+            Processor::linear("root", 0.0, 3.0),
+        ];
+        let v = view(&ps);
+        for n in 0..=12 {
+            let sol = serial_solve(Basic, &v, n).unwrap();
+            let brute = brute_force_distribution(&v, n);
+            assert!(
+                (sol.makespan - brute.makespan).abs() < 1e-9,
+                "n={n}: dp {} vs brute {}",
+                sol.makespan,
+                brute.makespan
+            );
+            assert!((makespan(&v, &sol.counts) - sol.makespan).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn matches_brute_force_affine() {
+        let ps = vec![
+            Processor::affine("a", 0.3, 0.5, 0.7, 2.0),
+            Processor::affine("b", 0.1, 1.0, 0.2, 1.0),
+            Processor::affine("root", 0.0, 0.0, 0.0, 3.0),
+        ];
+        let v = view(&ps);
+        for n in [0usize, 1, 5, 10] {
+            let sol = serial_solve(Basic, &v, n).unwrap();
+            let brute = brute_force_distribution(&v, n);
+            assert!((sol.makespan - brute.makespan).abs() < 1e-9, "n={n}");
+        }
+    }
+
+    #[test]
+    fn handles_non_monotone_custom_costs() {
+        // A "batched" compute cost: cheap in blocks of 4 (e.g. SIMD width).
+        // Algorithm 1 makes no monotonicity assumption.
+        let batched = |x: usize| x.div_ceil(4) as f64;
+        let ps = vec![
+            Processor::custom("batchy", |x| 0.1 * x as f64, batched),
+            Processor::linear("root", 0.0, 1.0),
+        ];
+        let v = view(&ps);
+        for n in 0..=10 {
+            let sol = serial_solve(Basic, &v, n).unwrap();
+            let brute = brute_force_distribution(&v, n);
+            assert!((sol.makespan - brute.makespan).abs() < 1e-9, "n={n}");
+        }
+    }
+
+    #[test]
+    fn rejects_invalid_costs() {
+        let ps = vec![Processor::custom("bad", |_| -1.0, |x| x as f64)];
+        assert!(matches!(
+            serial_solve(Basic, &view(&ps), 5),
+            Err(PlanError::InvalidCost { .. })
+        ));
+    }
+
+    #[test]
+    fn counts_sum_preserved() {
+        let ps = vec![
+            Processor::linear("a", 0.1, 0.5),
+            Processor::linear("b", 0.2, 0.25),
+            Processor::linear("c", 0.05, 1.0),
+            Processor::linear("root", 0.0, 0.4),
+        ];
+        let sol = serial_solve(Basic, &view(&ps), 57).unwrap();
+        assert_eq!(sol.counts.iter().sum::<usize>(), 57);
+    }
+
+    #[test]
+    fn shared_cost_table_gives_identical_results() {
+        let ps = vec![
+            Processor::linear("a", 0.5, 2.0),
+            Processor::linear("root", 0.0, 3.0),
+        ];
+        let v = view(&ps);
+        let table = CostTable::new();
+        // Largest first: later, smaller solves reuse its tabulations.
+        for n in [21usize, 8, 3] {
+            let fresh = serial_solve(Basic, &v, n).unwrap();
+            let (cached, _) = solve(Basic, &table, &v, n, &ParallelOpts::serial()).unwrap();
+            assert_eq!(fresh.counts, cached.counts);
+            assert_eq!(fresh.makespan.to_bits(), cached.makespan.to_bits());
+        }
+        assert!(table.hits() > 0, "repeat solves must reuse tabulations");
+    }
+
+    /// Algorithm 2 agrees with Algorithm 1, and the D&C kernel with
+    /// Algorithm 2 bit for bit, on every `n` of `ns`.
+    fn assert_kernels_agree(ps: &[Processor], ns: &[usize]) {
+        let v = view(ps);
+        for &n in ns {
+            let fast = serial_solve(Optimized, &v, n).unwrap();
+            let slow = serial_solve(Basic, &v, n).unwrap();
+            assert!(
+                (fast.makespan - slow.makespan).abs() < 1e-9,
+                "n={n}: {} vs {}",
+                fast.makespan,
+                slow.makespan
+            );
+            assert_eq!(fast.counts.iter().sum::<usize>(), n);
+            let dc = serial_solve(Dc, &v, n).unwrap();
+            assert_bit_identical(&dc, &fast, &format!("dc n={n}"));
+        }
+    }
+
+    #[test]
+    fn kernels_agree_on_linear_platform() {
+        let ps = vec![
+            Processor::linear("a", 0.5, 2.0),
+            Processor::linear("b", 1.0, 1.0),
+            Processor::linear("c", 0.25, 4.0),
+            Processor::linear("root", 0.0, 3.0),
+        ];
+        assert_kernels_agree(&ps, &(0..=40).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn kernels_agree_on_affine_platform() {
+        let ps = vec![
+            Processor::affine("a", 0.4, 0.5, 0.9, 2.0),
+            Processor::affine("b", 0.2, 1.0, 0.1, 1.0),
+            Processor::affine("root", 0.0, 0.0, 0.0, 3.0),
+        ];
+        assert_kernels_agree(&ps, &(0..=25).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn kernels_agree_on_tabulated_costs() {
+        let ps = vec![
+            Processor {
+                name: "measured".into(),
+                comm: CostFn::table(vec![(10, 1.0), (100, 8.0)]),
+                comp: CostFn::table(vec![(10, 5.0), (50, 20.0), (100, 60.0)]),
+            },
+            Processor::linear("root", 0.0, 1.0),
+        ];
+        assert_kernels_agree(&ps, &[0, 1, 7, 20, 55, 120]);
+    }
+
+    #[test]
+    fn exact_check_catches_sneaky_decrease() {
+        // Decreasing only between sample points of the cheap probe:
+        // the exact tabulated check must still catch it.
+        let ps = vec![
+            Processor::custom(
+                "sneaky",
+                |x| if x == 37 { 0.0 } else { x as f64 },
+                |x| x as f64,
+            ),
+            Processor::linear("root", 0.0, 1.0),
+        ];
+        assert!(matches!(
+            serial_solve(Optimized, &view(&ps), 100),
+            Err(PlanError::NotIncreasing { .. })
+        ));
+    }
+
+    #[test]
+    fn larger_n_smoke() {
+        // p = 4, n = 2000: must complete fast, match Eq. (2) evaluation,
+        // and the D&C kernel must stay bit-identical.
+        let ps = vec![
+            Processor::linear("a", 1e-4, 2e-3),
+            Processor::linear("b", 2e-4, 1e-3),
+            Processor::linear("c", 5e-5, 4e-3),
+            Processor::linear("root", 0.0, 3e-3),
+        ];
+        let v = view(&ps);
+        let sol = serial_solve(Optimized, &v, 2000).unwrap();
+        assert_eq!(sol.counts.iter().sum::<usize>(), 2000);
+        let ms = makespan(&v, &sol.counts);
+        assert!((ms - sol.makespan).abs() < 1e-9);
+        assert_bit_identical(&serial_solve(Dc, &v, 2000).unwrap(), &sol, "dc n=2000");
+    }
+
+    #[test]
     fn parallel_matches_serial_on_table1() {
         let (sub, order) = table1_view(8);
         let v = sub.ordered(&order);
         for n in [0usize, 1, 17, 500, 3000] {
-            let serial = optimal_distribution(&v, n).unwrap();
-            for threads in [1usize, 2, 5] {
-                let opts = ParallelOpts { threads, prune: false, chunk: 64 };
-                let par = optimal_distribution_parallel(&v, n, &opts).unwrap();
-                assert_bit_identical(&par, &serial, &format!("n={n} threads={threads}"));
+            let serial = serial_solve(Optimized, &v, n).unwrap();
+            for kernel in [Optimized, Dc] {
+                for threads in [1usize, 2, 5] {
+                    let opts = ParallelOpts { threads, prune: false, chunk: 64 };
+                    let par = solve_with(kernel, &v, n, &opts).unwrap();
+                    assert_bit_identical(
+                        &par,
+                        &serial,
+                        &format!("{kernel:?} n={n} threads={threads}"),
+                    );
+                }
             }
         }
     }
@@ -815,10 +1100,10 @@ mod tests {
         let (sub, order) = table1_view(16);
         let v = sub.ordered(&order);
         for n in [0usize, 1, 100, 2500] {
-            let serial = optimal_distribution(&v, n).unwrap();
+            let serial = serial_solve(Optimized, &v, n).unwrap();
             for threads in [1usize, 3] {
                 let opts = ParallelOpts { threads, prune: true, chunk: 128 };
-                let pruned = optimal_distribution_parallel(&v, n, &opts).unwrap();
+                let pruned = solve_with(Optimized, &v, n, &opts).unwrap();
                 assert_bit_identical(&pruned, &serial, &format!("n={n} threads={threads}"));
             }
         }
@@ -833,9 +1118,9 @@ mod tests {
         ];
         let v = view(&ps);
         for n in 0..=40 {
-            let serial = optimal_distribution(&v, n).unwrap();
+            let serial = serial_solve(Optimized, &v, n).unwrap();
             let opts = ParallelOpts { threads: 2, prune: true, chunk: 4 };
-            let pruned = optimal_distribution_parallel(&v, n, &opts).unwrap();
+            let pruned = solve_with(Optimized, &v, n, &opts).unwrap();
             assert_bit_identical(&pruned, &serial, &format!("n={n}"));
         }
     }
@@ -853,11 +1138,10 @@ mod tests {
             Processor::linear("root", 0.0, 1.0),
         ];
         let v = view(&ps);
-        let serial = optimal_distribution(&v, 120).unwrap();
+        let serial = serial_solve(Optimized, &v, 120).unwrap();
         let table = CostTable::new();
         let opts = ParallelOpts { threads: 2, prune: true, chunk: 16 };
-        let (sol, timing) =
-            optimal_distribution_parallel_timed(&table, &v, 120, &opts).unwrap();
+        let (sol, timing) = solve(Optimized, &table, &v, 120, &opts).unwrap();
         assert_bit_identical(&sol, &serial, "tabulated");
         assert!(!timing.pruned, "no bound seed available");
     }
@@ -871,25 +1155,11 @@ mod tests {
         ];
         let v = view(&ps);
         for n in [0usize, 1, 9, 64, 201] {
-            let serial = optimal_distribution_basic(&v, n).unwrap();
+            let serial = serial_solve(Basic, &v, n).unwrap();
             for threads in [2usize, 8] {
                 let opts = ParallelOpts { threads, prune: false, chunk: 32 };
-                let par = optimal_distribution_basic_parallel(&v, n, &opts).unwrap();
+                let par = solve_with(Basic, &v, n, &opts).unwrap();
                 assert_bit_identical(&par, &serial, &format!("basic n={n} threads={threads}"));
-            }
-        }
-    }
-
-    #[test]
-    fn dc_parallel_matches_serial_optimized() {
-        let (sub, order) = table1_view(8);
-        let v = sub.ordered(&order);
-        for n in [0usize, 1, 17, 500, 3000] {
-            let serial = optimal_distribution(&v, n).unwrap();
-            for threads in [1usize, 2, 5] {
-                let opts = ParallelOpts { threads, prune: false, chunk: 64 };
-                let dc = optimal_distribution_dc_parallel(&v, n, &opts).unwrap();
-                assert_bit_identical(&dc, &serial, &format!("dc n={n} threads={threads}"));
             }
         }
     }
@@ -899,10 +1169,10 @@ mod tests {
         let (sub, order) = table1_view(16);
         let v = sub.ordered(&order);
         let n = 2500;
-        let serial = optimal_distribution(&v, n).unwrap();
+        let serial = serial_solve(Optimized, &v, n).unwrap();
         let table = CostTable::new();
         let opts = ParallelOpts { threads: 3, prune: true, chunk: 128 };
-        let (dc, timing) = solve(Algo::Dc, &table, &v, n, &opts).unwrap();
+        let (dc, timing) = solve(Dc, &table, &v, n, &opts).unwrap();
         assert_bit_identical(&dc, &serial, "dc pruned-requested");
         assert!(!timing.pruned, "the D&C kernel never prunes");
         assert_eq!(timing.strategy, "exact-dc");
@@ -910,18 +1180,52 @@ mod tests {
 
     #[test]
     fn dc_falls_back_on_non_monotone_costs() {
-        let ps = vec![
+        // Algorithm 2 rejects these outright; the D&C kernel must
+        // instead demote itself and match Algorithm 1 bit for bit, for
+        // any thread count.
+        let two = vec![
+            Processor::custom("dec", |x| 10.0 - x as f64 * 0.01, |x| x as f64),
+            Processor::linear("root", 0.0, 1.0),
+        ];
+        assert!(matches!(
+            serial_solve(Optimized, &view(&two), 10),
+            Err(PlanError::NotIncreasing { proc: 0 })
+        ));
+        let three = vec![
             Processor::custom("dec", |x| 10.0 - x as f64 * 0.01, |x| x as f64),
             Processor::linear("mid", 0.5, 2.0),
             Processor::linear("root", 0.0, 1.0),
         ];
-        let v = view(&ps);
-        let basic = optimal_distribution_basic(&v, 64).unwrap();
-        for threads in [1usize, 4] {
-            let opts = ParallelOpts { threads, prune: false, chunk: 16 };
-            let dc = optimal_distribution_dc_parallel(&v, 64, &opts).unwrap();
-            assert_bit_identical(&dc, &basic, &format!("fallback threads={threads}"));
+        for ps in [&two, &three] {
+            let v = view(ps);
+            for n in [0usize, 1, 10, 64] {
+                let basic = serial_solve(Basic, &v, n).unwrap();
+                for threads in [1usize, 4] {
+                    let opts = ParallelOpts { threads, prune: false, chunk: 16 };
+                    let dc = solve_with(Dc, &v, n, &opts).unwrap();
+                    assert_bit_identical(&dc, &basic, &format!("n={n} threads={threads}"));
+                }
+            }
         }
+    }
+
+    #[test]
+    fn fallback_is_counted() {
+        let count = || {
+            Registry::global()
+                .snapshot()
+                .counters
+                .iter()
+                .find(|c| c.name == "dp_dc_fallbacks_total")
+                .map_or(0, |c| c.value)
+        };
+        let ps = vec![
+            Processor::custom("dec", |x| 10.0 - x as f64 * 0.01, |x| x as f64),
+            Processor::linear("root", 0.0, 1.0),
+        ];
+        let before = count();
+        serial_solve(Dc, &view(&ps), 10).unwrap();
+        assert!(count() > before, "demotion must tick dp_dc_fallbacks_total");
     }
 
     #[test]
@@ -931,23 +1235,23 @@ mod tests {
         let table = CostTable::new();
         let opts = ParallelOpts::serial();
         // Cold solve over the full platform keeps its plane.
-        let (_, _, plane) = solve_full(Algo::Optimized, &table, &v, 3000, &opts, None).unwrap();
+        let (_, _, plane) = solve_full(Optimized, &table, &v, 3000, &opts, None).unwrap();
         // "Fail" the first two processors: the survivors are exactly the
         // trailing 6, so their 5 trailing columns (all but the top) can
         // be reused for any residual <= 3000.
         let survivors: Vec<&Processor> = v[2..].to_vec();
         for residual in [0usize, 1, 700, 2999] {
-            let cold = solve_full(Algo::Optimized, &table, &survivors, residual, &opts, None)
+            let cold = solve_full(Optimized, &table, &survivors, residual, &opts, None)
                 .unwrap();
             let warm_src = WarmStart { plane: &plane, reuse: survivors.len() - 1 };
             let warm =
-                solve_full(Algo::Optimized, &table, &survivors, residual, &opts, Some(&warm_src))
+                solve_full(Optimized, &table, &survivors, residual, &opts, Some(&warm_src))
                     .unwrap();
             assert_bit_identical(&warm.0, &cold.0, &format!("warm residual={residual}"));
             // The warm plane must itself be a valid cache source.
             let again = WarmStart { plane: &warm.2, reuse: survivors.len() - 1 };
             let rewarm =
-                solve_full(Algo::Optimized, &table, &survivors, residual, &opts, Some(&again))
+                solve_full(Optimized, &table, &survivors, residual, &opts, Some(&again))
                     .unwrap();
             assert_bit_identical(&rewarm.0, &cold.0, &format!("rewarm residual={residual}"));
         }
@@ -963,12 +1267,12 @@ mod tests {
         let v = sub.ordered(&order);
         let table = CostTable::new();
         let opts = ParallelOpts::serial();
-        let (_, _, plane) = solve_full(Algo::Dc, &table, &v, 2000, &opts, None).unwrap();
+        let (_, _, plane) = solve_full(Dc, &table, &v, 2000, &opts, None).unwrap();
         let survivors: Vec<&Processor> = v[3..].to_vec();
         let residual = 1500usize;
         let before = Registry::global().snapshot();
         let warm_src = WarmStart { plane: &plane, reuse: survivors.len() - 1 };
-        solve_full(Algo::Dc, &table, &survivors, residual, &opts, Some(&warm_src)).unwrap();
+        solve_full(Dc, &table, &survivors, residual, &opts, Some(&warm_src)).unwrap();
         let after = Registry::global().snapshot();
         // Only the top cell is computed: every middle + base column was
         // copied. The cells counter may move from concurrent tests, but
@@ -988,14 +1292,12 @@ mod tests {
     fn too_large_is_an_error_not_a_panic() {
         let ps = vec![Processor::linear("root", 0.0, 1.0)];
         let n = u32::MAX as usize + 1;
-        assert!(matches!(
-            optimal_distribution_parallel(&view(&ps), n, &ParallelOpts::serial()),
-            Err(PlanError::TooLarge { max, .. }) if max == u32::MAX as usize
-        ));
-        assert!(matches!(
-            optimal_distribution_basic_parallel(&view(&ps), n, &ParallelOpts::serial()),
-            Err(PlanError::TooLarge { .. })
-        ));
+        for kernel in KERNELS {
+            assert!(matches!(
+                serial_solve(kernel, &view(&ps), n),
+                Err(PlanError::TooLarge { n: got, max }) if got == n && max == u32::MAX as usize
+            ));
+        }
     }
 
     #[test]
@@ -1004,7 +1306,7 @@ mod tests {
         let v = sub.ordered(&order);
         let table = CostTable::new();
         let opts = ParallelOpts { threads: 2, prune: true, chunk: 0 };
-        let (_, timing) = optimal_distribution_parallel_timed(&table, &v, 800, &opts).unwrap();
+        let (_, timing) = solve(Optimized, &table, &v, 800, &opts).unwrap();
         assert_eq!(timing.strategy, "exact");
         assert_eq!(timing.threads, 2);
         assert!(timing.pruned, "linear costs seed a closed-form bound");
@@ -1012,7 +1314,7 @@ mod tests {
         assert!(timing.tabulate_secs >= 0.0);
         assert!(timing.cache_misses > 0, "first solve must tabulate");
         // Re-solving through the same table is all hits.
-        let (_, timing2) = optimal_distribution_parallel_timed(&table, &v, 800, &opts).unwrap();
+        let (_, timing2) = solve(Optimized, &table, &v, 800, &opts).unwrap();
         assert_eq!(timing2.cache_misses, 0);
         assert!(timing2.cache_hits > 0);
     }
@@ -1022,9 +1324,9 @@ mod tests {
         let (sub, order) = table1_view(16);
         let v = sub.ordered(&order);
         let n = 20_000;
-        let serial = optimal_distribution(&v, n).unwrap();
+        let serial = serial_solve(Optimized, &v, n).unwrap();
         let opts = ParallelOpts { threads: 1, prune: true, chunk: 0 };
-        let pruned = optimal_distribution_parallel(&v, n, &opts).unwrap();
+        let pruned = solve_with(Optimized, &v, n, &opts).unwrap();
         assert_bit_identical(&pruned, &serial, "n=20000 pruned");
     }
 
@@ -1040,7 +1342,7 @@ mod tests {
         let (sub, order) = table1_view(4);
         let v = sub.ordered(&order);
         let opts = ParallelOpts { threads: 2, prune: false, chunk: 64 };
-        optimal_distribution_parallel(&v, 500, &opts).unwrap();
+        solve_with(Optimized, &v, 500, &opts).unwrap();
         let after = Registry::global().snapshot();
         assert!(get(&after, "dp_solves_total") > get(&before, "dp_solves_total"));
         // Unpruned 4-proc solve: ≥ (p−1 columns) · (n+1) cells minus the

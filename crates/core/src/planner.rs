@@ -17,7 +17,7 @@ use crate::error::PlanError;
 use crate::metrics::Registry;
 use crate::obs::{PlanTiming, Trace, TraceSource};
 use crate::ordering::{scatter_order, OrderPolicy};
-use crate::parallel::{self, Algo, ParallelOpts, WarmStart};
+use crate::parallel::{self, Kernel, ParallelOpts, WarmStart};
 
 /// Which distribution algorithm to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,7 +30,7 @@ pub enum Strategy {
     Exact,
     /// Divide-and-conquer exact DP, `O(p·n log n)` for non-decreasing
     /// costs (falls back to Algorithm 1 otherwise) — see
-    /// [`crate::dp_dc`].
+    /// [`Kernel::Dc`].
     ExactDc,
     /// §3.3 guaranteed LP heuristic, affine costs.
     Heuristic,
@@ -403,9 +403,9 @@ impl Planner {
                 let counts = distribution::uniform_distribution(view.len(), n);
                 (counts, PlanTiming::simple("uniform", start.elapsed().as_secs_f64()))
             }
-            Strategy::ExactBasic => self.exact(Algo::Basic, table, &view, n, &opts)?,
-            Strategy::Exact => self.exact(Algo::Optimized, table, &view, n, &opts)?,
-            Strategy::ExactDc => self.exact(Algo::Dc, table, &view, n, &opts)?,
+            Strategy::ExactBasic => self.exact(Kernel::Basic, table, &view, n, &opts)?,
+            Strategy::Exact => self.exact(Kernel::Optimized, table, &view, n, &opts)?,
+            Strategy::ExactDc => self.exact(Kernel::Dc, table, &view, n, &opts)?,
             Strategy::Heuristic => {
                 let counts = crate::heuristic::heuristic_distribution(&view, n)?.counts;
                 (counts, PlanTiming::simple("heuristic", start.elapsed().as_secs_f64()))
@@ -439,7 +439,7 @@ impl Planner {
     /// true DP values in every cell).
     fn exact(
         &self,
-        algo: Algo,
+        kernel: Kernel,
         table: &CostTable,
         view: &[&Processor],
         n: usize,
@@ -448,7 +448,7 @@ impl Planner {
         let cache = match &self.plan_cache {
             Some(c) if !self.prune => c,
             _ => {
-                let (sol, timing) = parallel::solve(algo, table, view, n, opts)?;
+                let (sol, timing) = parallel::solve(kernel, table, view, n, opts)?;
                 return Ok((sol.counts, timing));
             }
         };
@@ -456,7 +456,8 @@ impl Planner {
             view.iter().map(|pr| (key_of(&pr.comm), key_of(&pr.comp))).collect();
         let taken = cache.take_warm(&sigs, n);
         let warm = taken.as_ref().map(|(plane, reuse)| WarmStart { plane, reuse: *reuse });
-        let (sol, timing, plane) = parallel::solve_full(algo, table, view, n, opts, warm.as_ref())?;
+        let (sol, timing, plane) =
+            parallel::solve_full(kernel, table, view, n, opts, warm.as_ref())?;
         cache.store(sigs, plane);
         Ok((sol.counts, timing))
     }

@@ -6,6 +6,7 @@ use std::io::{self, Write};
 use std::path::Path;
 
 use gs_scatter::distribution::Timeline;
+use gs_scatter::obs::csv::escape;
 use gs_scatter::obs::{json, Trace};
 
 /// Serializes a run (scatter order) as CSV with header
@@ -52,15 +53,6 @@ pub fn write_trace_csv(path: impl AsRef<Path>, trace: &Trace) -> io::Result<()> 
     f.write_all(gs_scatter::obs::csv::trace_to_csv(trace).as_bytes())
 }
 
-/// Minimal CSV field escaping (quotes fields containing `,` or `"`).
-fn escape(s: &str) -> String {
-    if s.contains(',') || s.contains('"') || s.contains('\n') {
-        format!("\"{}\"", s.replace('"', "\"\""))
-    } else {
-        s.to_string()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -80,13 +72,6 @@ mod tests {
         assert_eq!(lines.len(), 3);
         assert_eq!(lines[0], "pos,name,data,comm_start,comm_end,finish");
         assert!(lines[1].starts_with("0,a,10,0.000000,1.500000,5.000000"));
-    }
-
-    #[test]
-    fn csv_escaping() {
-        assert_eq!(escape("plain"), "plain");
-        assert_eq!(escape("a,b"), "\"a,b\"");
-        assert_eq!(escape("q\"q"), "\"q\"\"q\"");
     }
 
     #[test]

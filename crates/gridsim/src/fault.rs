@@ -16,47 +16,17 @@
 //!   redistributed optimally over the surviving ranks via the existing
 //!   planner, preserving byte conservation.
 //!
-//! Both modes drive the same [`FaultSession`] oracle the minimpi
-//! runtime uses, so simulated and executed fault traces agree exactly.
+//! Both modes replay the same [`scatter_schedule`] the minimpi runtime
+//! uses, so simulated and executed fault traces agree exactly.
 
 use gs_scatter::cost::{Platform, Processor};
 use gs_scatter::distribution::Timeline;
 use gs_scatter::error::PlanError;
 use gs_scatter::fault::{
-    outcome_incidents, replan_residual_with, take_items, FaultPlan, FaultSession, RecoveryConfig,
+    scatter_schedule, Delivery, FaultPlan, RecoveryConfig, ReplanRecord, ScatterSchedule,
 };
-use gs_scatter::obs::{Event, EventKind, Incident, IncidentKind, Trace, TraceSource};
+use gs_scatter::obs::{Event, EventKind, Incident, Trace, TraceSource};
 use gs_scatter::planner::Plan;
-
-/// One successful block delivery (there may be several per rank once
-/// re-planning kicks in).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Delivery {
-    /// Receiving rank (scatter position; the root's kept share shows up
-    /// as a delivery to the last rank).
-    pub rank: usize,
-    /// Transfer start time.
-    pub start: f64,
-    /// Transfer end time.
-    pub end: f64,
-    /// Half-open item ranges delivered (more than one after a re-plan
-    /// hands a rank a non-contiguous residual slice).
-    pub ranges: Vec<(u64, u64)>,
-}
-
-/// One re-planning round.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReplanRecord {
-    /// When the root re-planned (its port-free time).
-    pub t: f64,
-    /// Residual items being redistributed.
-    pub items: u64,
-    /// Scatter positions of the survivors, relative order preserved,
-    /// root last.
-    pub survivors: Vec<usize>,
-    /// Items assigned to each survivor, aligned with `survivors`.
-    pub counts: Vec<u64>,
-}
 
 /// Result of one fault-injected scatter + compute phase.
 #[derive(Debug, Clone)]
@@ -163,111 +133,22 @@ impl FtScatterSim {
 /// by [`gs_scatter::planner::Planner`]; items are laid out contiguously
 /// in that order (displacement layout). `faults` is validated against
 /// the rank count; `recovery` selects degraded (`None`) vs recovered
-/// (`Some`) mode — see the module docs.
-///
-/// In recovered mode the loop terminates because every round that fails
-/// to deliver everything declares at least one more rank dead, and the
-/// root (which cannot fault) always absorbs its own share.
+/// (`Some`) mode — see the module docs. The communication phase is
+/// [`scatter_schedule`]'s; this adds the compute phase.
 pub fn simulate_scatter_ft(
     procs: &[&Processor],
     counts: &[usize],
     faults: &FaultPlan,
     recovery: Option<&RecoveryConfig>,
 ) -> Result<FtScatterSim, PlanError> {
-    assert_eq!(procs.len(), counts.len(), "one count per processor");
+    let ScatterSchedule { deliveries, replans, incidents, dead, lost_items, port_free: t } =
+        scatter_schedule(procs, counts, faults, recovery, 0.0)?;
     let p = procs.len();
-    if p == 0 {
-        return Err(PlanError::InvalidPlatform("no processors".into()));
-    }
-    faults.validate(p)?;
     let root = p - 1;
     let n: u64 = counts.iter().map(|&c| c as u64).sum();
-
-    let mut session = FaultSession::new(faults, p);
-    let mut incidents: Vec<Incident> = Vec::new();
-    let mut deliveries: Vec<Delivery> = Vec::new();
     let mut assignments: Vec<Vec<(u64, u64)>> = vec![Vec::new(); p];
-    let mut replans: Vec<ReplanRecord> = Vec::new();
-    let mut lost_items = 0u64;
-    let mut pool: Vec<(u64, u64)> = Vec::new();
-    let mut t = 0.0f64;
-
-    // Round 0: the planned blocks, contiguous in scatter order.
-    let mut offset = 0u64;
-    let mut round: Vec<(usize, Vec<(u64, u64)>)> = counts
-        .iter()
-        .enumerate()
-        .map(|(rank, &c)| {
-            let lo = offset;
-            offset += c as u64;
-            (rank, if c == 0 { Vec::new() } else { vec![(lo, offset)] })
-        })
-        .collect();
-
-    loop {
-        for (rank, ranges) in round.drain(..) {
-            if ranges.is_empty() {
-                continue;
-            }
-            let items: u64 = ranges.iter().map(|&(lo, hi)| hi - lo).sum();
-            let nominal = procs[rank].comm.eval(items as usize);
-            let out = session.send(rank, t, nominal, recovery);
-            incidents.extend(outcome_incidents(rank, items, &procs[rank].name, &out));
-            t = out.port_free;
-            match out.delivered {
-                Some((start, end)) => {
-                    deliveries.push(Delivery { rank, start, end, ranges: ranges.clone() });
-                    assignments[rank].extend(ranges);
-                }
-                None => {
-                    if recovery.is_some() {
-                        pool.extend(ranges);
-                    } else {
-                        lost_items += items;
-                    }
-                }
-            }
-        }
-        if pool.is_empty() {
-            break;
-        }
-        // Re-plan the residual over the survivors. Only reachable in
-        // recovered mode (degraded mode never fills the pool).
-        let rc = recovery.expect("pool only fills in recovered mode");
-        let residual: u64 = pool.iter().map(|&(lo, hi)| hi - lo).sum();
-        let alive: Vec<bool> = (0..p).map(|r| !session.is_dead(r)).collect();
-        // Re-plans route through the session's plan cache: after the
-        // first one, later rounds warm-start from the surviving DP
-        // columns (bit-identical results, less recomputation).
-        let rp = replan_residual_with(
-            procs,
-            &alive,
-            residual,
-            rc.replan_strategy,
-            Some(session.plan_cache()),
-        )?;
-        incidents.push(Incident {
-            t,
-            kind: IncidentKind::Replan,
-            rank: root,
-            items: residual,
-            info: format!(
-                "redistributing {residual} undelivered items over {} survivors",
-                rp.positions.len()
-            ),
-        });
-        replans.push(ReplanRecord {
-            t,
-            items: residual,
-            survivors: rp.positions.clone(),
-            counts: rp.counts.clone(),
-        });
-        for (&pos, &c) in rp.positions.iter().zip(&rp.counts) {
-            if c > 0 {
-                round.push((pos, take_items(&mut pool, c)));
-            }
-        }
-        debug_assert!(pool.is_empty(), "re-plan must drain the pool");
+    for d in &deliveries {
+        assignments[d.rank].extend_from_slice(&d.ranges);
     }
 
     // Compute phase: each rank starts once its last block has arrived
@@ -292,7 +173,7 @@ pub fn simulate_scatter_ft(
         // The root drives the port, so it computes only once its last
         // send is done (in fault-free runs last == t already).
         let start = if rank == root { last.max(t) } else { last };
-        let finish = start + session.compute_duration(rank, start, nominal);
+        let finish = start + faults.stretched_compute(rank, start, nominal);
         timeline.comm_start[rank] = first;
         timeline.comm_end[rank] = start;
         timeline.finish[rank] = finish;
@@ -311,7 +192,6 @@ pub fn simulate_scatter_ft(
     reg.counter("sim_events_total", "simulator events processed")
         .add(2 * (deliveries.len() + computing) as u64);
 
-    let dead = (0..p).map(|r| session.is_dead(r)).collect();
     Ok(FtScatterSim {
         timeline,
         makespan,

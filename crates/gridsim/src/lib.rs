@@ -44,7 +44,7 @@ pub use bigsim::{
 };
 pub use calendar::{CalendarQueue, CalendarStats};
 pub use engine::{Engine, SimEvent, SimEventKind};
-pub use fault::{simulate_plan_ft, simulate_scatter_ft, FtScatterSim, ReplanRecord};
+pub use fault::{simulate_plan_ft, simulate_scatter_ft, FtScatterSim};
 pub use installments::{simulate_installments, split_installments, InstallmentRun};
 pub use load::LoadTrace;
 pub use masterworker::{simulate_master_worker, MasterWorkerConfig, MasterWorkerRun};

@@ -9,6 +9,7 @@ use gs_scatter::obs::span;
 use crate::datum::{decode, encode, Datum};
 use crate::message::{Message, Tag};
 use crate::time::TimeModel;
+use crate::trace::{CommOp, CommRecord};
 
 /// Opcode space for collective tags.
 pub(crate) mod op {
@@ -48,7 +49,7 @@ pub struct Comm {
     /// Collective sequence number (tags of successive collectives differ).
     pub(crate) coll_seq: u64,
     /// Communication trace (only populated when tracing is enabled).
-    pub(crate) trace: Option<Vec<crate::trace::CommRecord>>,
+    pub(crate) trace: Option<Vec<CommRecord>>,
     /// Fault/retry/replan incidents recorded by the fault-tolerant
     /// scatter (populated on the root; see [`crate::ft`]).
     pub(crate) incidents: Vec<gs_scatter::obs::Incident>,
@@ -110,27 +111,38 @@ impl Comm {
         if let Some(m) = &self.model {
             let start = self.clock;
             self.clock += m.compute_time(self.rank, items);
-            let (rank, end) = (self.rank, self.clock);
-            if span::enabled() {
-                span::record_virtual(
-                    "mpi",
-                    "mpi.compute",
-                    rank as u64,
-                    start,
-                    end,
-                    vec![("items", items.to_string())],
-                );
-            }
-            if let Some(t) = &mut self.trace {
-                t.push(crate::trace::CommRecord {
-                    op: crate::trace::CommOp::Compute,
-                    peer: rank,
-                    bytes: 0,
-                    start,
-                    end,
-                });
-            }
+            self.record(CommOp::Compute, self.rank, items, start, self.clock);
         }
+    }
+
+    /// Records one operation of this rank over `[start, end]` on the
+    /// virtual clock: an `mpi.send`/`mpi.recv`/`mpi.compute` span when
+    /// the span tracer is on, and a [`CommRecord`] when tracing is
+    /// enabled. `size` is a transfer's bytes, or a compute phase's item
+    /// count (its span carries `items`, its record 0 bytes).
+    pub(crate) fn record(&mut self, op: CommOp, peer: usize, size: usize, start: f64, end: f64) {
+        if span::enabled() {
+            let transfer = || vec![("peer", peer.to_string()), ("bytes", size.to_string())];
+            let (name, attrs) = match op {
+                CommOp::Send => ("mpi.send", transfer()),
+                CommOp::Recv => ("mpi.recv", transfer()),
+                CommOp::Compute => ("mpi.compute", vec![("items", size.to_string())]),
+            };
+            span::record_virtual("mpi", name, self.rank as u64, start, end, attrs);
+        }
+        if let Some(t) = &mut self.trace {
+            let bytes = if op == CommOp::Compute { 0 } else { size };
+            t.push(CommRecord { op, peer, bytes, start, end });
+        }
+    }
+
+    /// Puts `payload` into `dest`'s inbox stamped `timestamp`; no clock
+    /// advance, no record.
+    pub(crate) fn post(&self, dest: usize, tag: Tag, timestamp: f64, payload: Vec<u8>) {
+        let msg = Message { src: self.rank, tag, timestamp, payload };
+        self.senders[dest]
+            .send(msg)
+            .unwrap_or_else(|_| panic!("rank {dest} hung up (panicked?)"));
     }
 
     // ---- point-to-point -----------------------------------------------------
@@ -158,29 +170,8 @@ impl Comm {
             .add(bytes as u64);
         reg.histogram("mpi_send_seconds", "per-send transfer time (virtual clock)")
             .observe(self.clock - start);
-        if span::enabled() {
-            span::record_virtual(
-                "mpi",
-                "mpi.send",
-                self.rank as u64,
-                start,
-                self.clock,
-                vec![("peer", dest.to_string()), ("bytes", bytes.to_string())],
-            );
-        }
-        let msg = Message { src: self.rank, tag, timestamp: self.clock, payload };
-        if let Some(t) = &mut self.trace {
-            t.push(crate::trace::CommRecord {
-                op: crate::trace::CommOp::Send,
-                peer: dest,
-                bytes,
-                start,
-                end: self.clock,
-            });
-        }
-        self.senders[dest]
-            .send(msg)
-            .unwrap_or_else(|_| panic!("rank {dest} hung up (panicked?)"));
+        self.record(CommOp::Send, dest, bytes, start, self.clock);
+        self.post(dest, tag, self.clock, payload);
     }
 
     /// Receives the next message from `src` with `tag` (blocking).
@@ -191,25 +182,7 @@ impl Comm {
         let start = self.clock;
         let msg = self.match_message(src, tag);
         self.clock = self.clock.max(msg.timestamp);
-        if span::enabled() {
-            span::record_virtual(
-                "mpi",
-                "mpi.recv",
-                self.rank as u64,
-                start,
-                self.clock,
-                vec![("peer", src.to_string()), ("bytes", msg.payload.len().to_string())],
-            );
-        }
-        if let Some(t) = &mut self.trace {
-            t.push(crate::trace::CommRecord {
-                op: crate::trace::CommOp::Recv,
-                peer: src,
-                bytes: msg.payload.len(),
-                start,
-                end: self.clock,
-            });
-        }
+        self.record(CommOp::Recv, src, msg.payload.len(), start, self.clock);
         msg.payload
     }
 
@@ -324,10 +297,11 @@ impl Comm {
                 if r == root {
                     // The root keeps its block; no transfer, no port time.
                     // Traced as a zero-duration self-send so that byte
-                    // totals conserve (Σ link bytes = buffer size).
+                    // totals conserve (Σ link bytes = buffer size); not a
+                    // transfer, so no `mpi.send` span.
                     if let Some(t) = &mut self.trace {
-                        t.push(crate::trace::CommRecord {
-                            op: crate::trace::CommOp::Send,
+                        t.push(CommRecord {
+                            op: CommOp::Send,
                             peer: root,
                             bytes: block.len() * T::WIDTH,
                             start: self.clock,

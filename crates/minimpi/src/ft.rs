@@ -1,8 +1,8 @@
 //! Fault-tolerant scatter on the minimpi runtime: the executable twin of
 //! `gs_gridsim::fault::simulate_scatter_ft`.
 //!
-//! The root drives the same [`FaultSession`] oracle the simulator uses
-//! — same ranks, same instants, same nominal `Tcomm` values (evaluated
+//! The root replays the same [`scatter_schedule`] the simulator does —
+//! same ranks, same instants, same nominal `Tcomm` values (evaluated
 //! item-based from [`FtConfig::procs`], *not* byte-scaled through the
 //! world's [`crate::TimeModel`]) — so the executed schedule is
 //! **bit-identical** to the simulated one: every delivery interval,
@@ -19,14 +19,12 @@
 //! excluded from clocks and traces.
 
 use gs_scatter::cost::Processor;
-use gs_scatter::fault::{
-    outcome_incidents, replan_residual_with, take_items, FaultPlan, FaultSession, RecoveryConfig,
-};
-use gs_scatter::obs::{Incident, IncidentKind, Trace};
+use gs_scatter::fault::{scatter_schedule, FaultPlan, RecoveryConfig};
+use gs_scatter::obs::{Incident, Trace};
 
 use crate::comm::{op, Comm};
 use crate::datum::{decode, encode, Datum};
-use crate::message::{Message, Tag};
+use crate::message::Tag;
 use crate::trace::{executed_trace, CommOp, CommRecord};
 
 /// Configuration of a fault-tolerant scatter world.
@@ -61,44 +59,6 @@ impl Comm {
         std::mem::take(&mut self.incidents)
     }
 
-    /// Sends `payload` recording the explicit port interval
-    /// `[start, end]` instead of deriving it from the time model, and
-    /// `bytes` as the modeled wire size; the message timestamp is
-    /// `end`. The caller owns the clock.
-    fn send_raw_at(
-        &mut self,
-        dest: usize,
-        tag: Tag,
-        payload: Vec<u8>,
-        bytes: usize,
-        start: f64,
-        end: f64,
-    ) {
-        assert!(dest < self.size, "destination {dest} out of range");
-        if let Some(t) = &mut self.trace {
-            t.push(CommRecord { op: CommOp::Send, peer: dest, bytes, start, end });
-        }
-        let msg = Message { src: self.rank, tag, timestamp: end, payload };
-        self.senders[dest]
-            .send(msg)
-            .unwrap_or_else(|_| panic!("rank {dest} hung up (panicked?)"));
-    }
-
-    /// Sends an out-of-band control message: timestamp 0, no clock
-    /// advance, no trace record.
-    fn send_ctrl(&mut self, dest: usize, tag: Tag, payload: Vec<u8>) {
-        let msg = Message { src: self.rank, tag, timestamp: 0.0, payload };
-        self.senders[dest]
-            .send(msg)
-            .unwrap_or_else(|_| panic!("rank {dest} hung up (panicked?)"));
-    }
-
-    /// Receives a control message: no clock synchronization, no trace
-    /// record.
-    fn recv_ctrl(&mut self, src: usize, tag: Tag) -> Vec<u8> {
-        self.match_message(src, tag).payload
-    }
-
     /// Fault-tolerant `MPI_Scatterv` (root = rank `size − 1`).
     ///
     /// The root sends block `r` of `sendbuf` to rank `r` in rank order
@@ -107,6 +67,9 @@ impl Comm {
     /// placed. Every rank returns the items it actually received
     /// (possibly empty if it crashed early or the run is degraded;
     /// possibly more than its original block after a re-plan).
+    ///
+    /// The schedule is [`scatter_schedule`]'s, run from the root's
+    /// clock; the root replays its deliveries as byte transfers.
     ///
     /// # Panics
     /// Panics on the root if `sendbuf` is missing or too short, if the
@@ -126,9 +89,11 @@ impl Comm {
         let ctrl_tag = Tag::collective(op::FT_CTRL, seq);
 
         if self.rank != root {
-            // Delivery count first; any data messages that raced ahead
-            // wait in `pending` and are drained in arrival order.
-            let m = decode::<u64>(&self.recv_ctrl(root, ctrl_tag))[0];
+            // Delivery count first (an out-of-band control message: no
+            // clock synchronization, no record); any data messages that
+            // raced ahead wait in `pending` and are drained in arrival
+            // order.
+            let m = decode::<u64>(&self.match_message(root, ctrl_tag).payload)[0];
             let mut mine = Vec::new();
             for _ in 0..m {
                 mine.extend(self.recv::<T>(root, data_tag));
@@ -139,114 +104,35 @@ impl Comm {
         let buf = sendbuf.expect("root must provide the send buffer");
         let total: usize = counts.iter().sum();
         assert!(buf.len() >= total, "send buffer too short: {} < {total}", buf.len());
-        config
-            .faults
-            .validate(self.size)
-            .unwrap_or_else(|e| panic!("invalid fault plan: {e}"));
+        let view: Vec<&Processor> = config.procs.iter().collect();
+        let schedule =
+            scatter_schedule(&view, counts, &config.faults, config.recovery.as_ref(), self.clock)
+                .unwrap_or_else(|e| panic!("fault-tolerant scatter failed: {e}"));
 
-        let mut session = FaultSession::new(&config.faults, self.size);
+        // Replay: each delivery is a send over the oracle's port interval
+        // with the modeled wire size, stamped with its end. The root keeps
+        // its own share (recorded like any other delivery).
         let mut delivered_msgs = vec![0u64; self.size];
         let mut own: Vec<T> = Vec::new();
-        let mut pool: Vec<(u64, u64)> = Vec::new();
-        let mut t = self.clock;
-
-        // Round 0: the planned blocks, contiguous in rank order.
-        let mut offset = 0u64;
-        let mut round: Vec<(usize, Vec<(u64, u64)>)> = counts
-            .iter()
-            .enumerate()
-            .map(|(rank, &c)| {
-                let lo = offset;
-                offset += c as u64;
-                (rank, if c == 0 { Vec::new() } else { vec![(lo, offset)] })
-            })
-            .collect();
-
-        loop {
-            for (rank, ranges) in round.drain(..) {
-                if ranges.is_empty() {
-                    continue;
-                }
-                let items: u64 = ranges.iter().map(|&(lo, hi)| hi - lo).sum();
-                let nominal = config.procs[rank].comm.eval(items as usize);
-                let out = session.send(rank, t, nominal, config.recovery.as_ref());
-                self.incidents.extend(outcome_incidents(
-                    rank,
-                    items,
-                    &config.procs[rank].name,
-                    &out,
-                ));
-                t = out.port_free;
-                match out.delivered {
-                    Some((start, end)) => {
-                        delivered_msgs[rank] += 1;
-                        let mut payload = Vec::with_capacity(items as usize * T::WIDTH);
-                        for &(lo, hi) in &ranges {
-                            payload.extend(encode(&buf[lo as usize..hi as usize]));
-                        }
-                        let wire = (items * config.item_bytes) as usize;
-                        if rank == root {
-                            // The root keeps its share: traced like the
-                            // plain scatterv's self-send, at the oracle's
-                            // delivery instant.
-                            if let Some(tr) = &mut self.trace {
-                                tr.push(CommRecord {
-                                    op: CommOp::Send,
-                                    peer: root,
-                                    bytes: wire,
-                                    start,
-                                    end,
-                                });
-                            }
-                            own.extend(decode::<T>(&payload));
-                        } else {
-                            self.send_raw_at(rank, data_tag, payload, wire, start, end);
-                        }
-                    }
-                    None if config.recovery.is_some() => pool.extend(ranges),
-                    None => {} // degraded mode: the block is simply lost
-                }
+        for d in &schedule.deliveries {
+            let items: u64 = d.ranges.iter().map(|&(lo, hi)| hi - lo).sum();
+            self.record(CommOp::Send, d.rank, (items * config.item_bytes) as usize, d.start, d.end);
+            let blocks = d.ranges.iter().map(|&(lo, hi)| &buf[lo as usize..hi as usize]);
+            if d.rank == root {
+                blocks.for_each(|b| own.extend_from_slice(b));
+            } else {
+                delivered_msgs[d.rank] += 1;
+                let mut payload = Vec::with_capacity(items as usize * T::WIDTH);
+                blocks.for_each(|b| payload.extend(encode(b)));
+                self.post(d.rank, data_tag, d.end, payload);
             }
-            if pool.is_empty() {
-                break;
-            }
-            let rc = config.recovery.as_ref().expect("pool only fills in recovered mode");
-            let residual: u64 = pool.iter().map(|&(lo, hi)| hi - lo).sum();
-            let alive: Vec<bool> = (0..self.size).map(|r| !session.is_dead(r)).collect();
-            let view: Vec<&Processor> = config.procs.iter().collect();
-            // Warm-start later re-plans from this session's plan cache
-            // (bit-identical to from-scratch — the simulator does the
-            // same, keeping the two schedules in lockstep).
-            let rp = replan_residual_with(
-                &view,
-                &alive,
-                residual,
-                rc.replan_strategy,
-                Some(session.plan_cache()),
-            )
-            .unwrap_or_else(|e| panic!("re-plan failed: {e}"));
-            self.incidents.push(Incident {
-                t,
-                kind: IncidentKind::Replan,
-                rank: root,
-                items: residual,
-                info: format!(
-                    "redistributing {residual} undelivered items over {} survivors",
-                    rp.positions.len()
-                ),
-            });
-            for (&pos, &c) in rp.positions.iter().zip(&rp.counts) {
-                if c > 0 {
-                    round.push((pos, take_items(&mut pool, c)));
-                }
-            }
-            debug_assert!(pool.is_empty(), "re-plan must drain the pool");
         }
-
-        self.clock = self.clock.max(t);
+        self.incidents.extend(schedule.incidents);
+        self.clock = self.clock.max(schedule.port_free);
+        // Control messages carry timestamp 0: excluded from clocks.
         for (r, &delivered) in delivered_msgs.iter().enumerate() {
             if r != root {
-                self.send_ctrl(r, ctrl_tag, encode(&[delivered]));
+                self.post(r, ctrl_tag, 0.0, encode(&[delivered]));
             }
         }
         own
@@ -265,10 +151,7 @@ impl Comm {
         let start = self.clock;
         let nominal = config.procs[self.rank].comp.eval(items);
         self.clock += config.faults.stretched_compute(self.rank, start, nominal);
-        let (rank, end) = (self.rank, self.clock);
-        if let Some(t) = &mut self.trace {
-            t.push(CommRecord { op: CommOp::Compute, peer: rank, bytes: 0, start, end });
-        }
+        self.record(CommOp::Compute, self.rank, items, start, self.clock);
     }
 }
 
@@ -395,6 +278,51 @@ mod tests {
                 assert_eq!(re.finish, rs.finish, "finish of {}", rs.name);
                 assert_eq!(re.bytes_in, rs.bytes_in, "bytes of {}", rs.name);
             }
+        }
+    }
+
+    #[test]
+    fn ft_scatter_records_one_send_span_per_delivery() {
+        use gs_gridsim::fault::simulate_scatter_ft;
+        use gs_scatter::obs::span;
+        let ps = procs();
+        let view: Vec<&Processor> = ps.iter().collect();
+        let counts = [3usize, 2, 1];
+        let faults = FaultPlan {
+            faults: vec![
+                Fault { rank: 0, kind: FaultKind::Crash { at: 1.0 } },
+                Fault { rank: 1, kind: FaultKind::Transient { failures: 1 } },
+            ],
+        };
+        let rc = RecoveryConfig::default();
+        let sim = simulate_scatter_ft(&view, &counts, &faults, Some(&rc)).unwrap();
+        let config = FtConfig { faults, recovery: Some(rc), procs: ps.clone(), item_bytes: 8 };
+        span::set_enabled(true);
+        // One fresh thread per rank: each rank's thread-local spans are
+        // exactly its own, whatever other tests record meanwhile.
+        let spans = run_world(3, WorldConfig::default(), move |c| {
+            let data: Vec<u64> = (0..6).collect();
+            let mine =
+                c.scatterv_ft(&config, (c.rank() == 2).then_some(&data[..]), &counts);
+            c.model_compute_ft(&config, mine.len());
+            span::take_local()
+        });
+        span::set_enabled(false);
+        let attr = |s: &span::SpanRecord, key: &str| {
+            s.attrs.iter().find(|(k, _)| *k == key).map(|(_, v)| v.clone())
+        };
+        let sends: Vec<_> = spans[2].iter().filter(|s| s.name == "mpi.send").collect();
+        assert_eq!(sends.len(), sim.deliveries.len(), "one mpi.send per delivery");
+        for (s, d) in sends.iter().zip(&sim.deliveries) {
+            let items: u64 = d.ranges.iter().map(|&(lo, hi)| hi - lo).sum();
+            assert_eq!(s.tid, 2);
+            assert_eq!(attr(s, "peer"), Some(d.rank.to_string()));
+            assert_eq!(attr(s, "bytes"), Some((items * 8).to_string()));
+            assert_eq!(s.start_us, d.start * 1e6);
+        }
+        for (rank, rank_spans) in spans.iter().enumerate() {
+            let computes = rank_spans.iter().filter(|s| s.name == "mpi.compute").count();
+            assert_eq!(computes, usize::from(!sim.assignments[rank].is_empty()), "rank {rank}");
         }
     }
 

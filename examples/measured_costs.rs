@@ -6,7 +6,6 @@
 //! Run with: `cargo run --release --example measured_costs`
 
 use grid_scatter::prelude::*;
-use grid_scatter::scatter::dp_optimized::optimal_distribution;
 use grid_scatter::scatter::ordering::scatter_order;
 use grid_scatter::seismic::calib::{measure_alpha, measured_comp_cost};
 
@@ -47,7 +46,8 @@ fn main() {
     let n = 2_000;
     let order = scatter_order(&platform, OrderPolicy::DescendingBandwidth);
     let view = platform.ordered(&order);
-    let sol = optimal_distribution(&view, n).expect("tabulated costs are increasing");
+    let (sol, _) = solve(Kernel::Optimized, &CostTable::new(), &view, n, &ParallelOpts::serial())
+        .expect("tabulated costs are increasing");
 
     println!("\noptimal distribution of {n} rays (Algorithm 2 on measured costs):");
     for (pos, &idx) in order.iter().enumerate() {

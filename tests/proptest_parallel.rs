@@ -4,14 +4,9 @@
 //! increasing platforms, for thread counts 1, 2 and 8.
 
 use grid_scatter::prelude::{PlanCache, Planner, Platform, Processor, Strategy as PlanStrategy};
-use grid_scatter::scatter::dp_basic::optimal_distribution_basic;
-use grid_scatter::scatter::dp_dc::optimal_distribution_dc;
-use grid_scatter::scatter::dp_optimized::optimal_distribution;
+use grid_scatter::scatter::cost_table::CostTable;
 use grid_scatter::scatter::ordering::{scatter_order, OrderPolicy};
-use grid_scatter::scatter::parallel::{
-    optimal_distribution_basic_parallel, optimal_distribution_dc_parallel,
-    optimal_distribution_parallel, ParallelOpts,
-};
+use grid_scatter::scatter::parallel::{solve, DpSolution, Kernel, ParallelOpts};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -43,9 +38,14 @@ fn affine_platform(max_p: usize) -> impl Strategy<Value = Platform> {
 
 const THREADS: [usize; 3] = [1, 2, 8];
 
+/// One solve of `kernel` with `opts` through a fresh cost table.
+fn dp(kernel: Kernel, view: &[&Processor], n: usize, opts: &ParallelOpts) -> DpSolution {
+    solve(kernel, &CostTable::new(), view, n, opts).unwrap().0
+}
+
 fn assert_bit_identical(
-    got: &grid_scatter::scatter::dp_basic::DpSolution,
-    want: &grid_scatter::scatter::dp_basic::DpSolution,
+    got: &DpSolution,
+    want: &DpSolution,
     what: &str,
 ) -> Result<(), TestCaseError> {
     prop_assert_eq!(&got.counts, &want.counts, "{}: counts differ", what);
@@ -72,10 +72,10 @@ proptest! {
     ) {
         let order = scatter_order(&platform, OrderPolicy::DescendingBandwidth);
         let view = platform.ordered(&order);
-        let serial = optimal_distribution(&view, n).unwrap();
+        let serial = dp(Kernel::Optimized, &view, n, &ParallelOpts::serial());
         for threads in THREADS {
             let opts = ParallelOpts { threads, prune: false, chunk };
-            let par = optimal_distribution_parallel(&view, n, &opts).unwrap();
+            let par = dp(Kernel::Optimized, &view, n, &opts);
             assert_bit_identical(&par, &serial, &format!("threads={threads} chunk={chunk}"))?;
         }
     }
@@ -89,10 +89,10 @@ proptest! {
     ) {
         let order = scatter_order(&platform, OrderPolicy::DescendingBandwidth);
         let view = platform.ordered(&order);
-        let serial = optimal_distribution_basic(&view, n).unwrap();
+        let serial = dp(Kernel::Basic, &view, n, &ParallelOpts::serial());
         for threads in THREADS {
             let opts = ParallelOpts { threads, prune: false, chunk };
-            let par = optimal_distribution_basic_parallel(&view, n, &opts).unwrap();
+            let par = dp(Kernel::Basic, &view, n, &opts);
             assert_bit_identical(&par, &serial, &format!("threads={threads} chunk={chunk}"))?;
         }
     }
@@ -106,10 +106,10 @@ proptest! {
     ) {
         let order = scatter_order(&platform, OrderPolicy::DescendingBandwidth);
         let view = platform.ordered(&order);
-        let serial = optimal_distribution(&view, n).unwrap();
+        let serial = dp(Kernel::Optimized, &view, n, &ParallelOpts::serial());
         for threads in THREADS {
             let opts = ParallelOpts { threads, prune: true, chunk: 16 };
-            let pruned = optimal_distribution_parallel(&view, n, &opts).unwrap();
+            let pruned = dp(Kernel::Optimized, &view, n, &opts);
             assert_bit_identical(&pruned, &serial, &format!("pruned threads={threads}"))?;
         }
     }
@@ -122,9 +122,9 @@ proptest! {
     ) {
         let order = scatter_order(&platform, OrderPolicy::DescendingBandwidth);
         let view = platform.ordered(&order);
-        let serial = optimal_distribution(&view, n).unwrap();
+        let serial = dp(Kernel::Optimized, &view, n, &ParallelOpts::serial());
         let opts = ParallelOpts { threads: 2, prune: true, chunk: 16 };
-        let pruned = optimal_distribution_parallel(&view, n, &opts).unwrap();
+        let pruned = dp(Kernel::Optimized, &view, n, &opts);
         assert_bit_identical(&pruned, &serial, "pruned affine")?;
     }
 
@@ -138,12 +138,12 @@ proptest! {
     ) {
         let order = scatter_order(&platform, OrderPolicy::DescendingBandwidth);
         let view = platform.ordered(&order);
-        let serial = optimal_distribution(&view, n).unwrap();
-        let dc_serial = optimal_distribution_dc(&view, n).unwrap();
+        let serial = dp(Kernel::Optimized, &view, n, &ParallelOpts::serial());
+        let dc_serial = dp(Kernel::Dc, &view, n, &ParallelOpts::serial());
         assert_bit_identical(&dc_serial, &serial, "dc serial")?;
         for threads in THREADS {
             let opts = ParallelOpts { threads, prune: false, chunk };
-            let dc = optimal_distribution_dc_parallel(&view, n, &opts).unwrap();
+            let dc = dp(Kernel::Dc, &view, n, &opts);
             assert_bit_identical(&dc, &serial, &format!("dc threads={threads} chunk={chunk}"))?;
         }
     }

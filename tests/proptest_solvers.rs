@@ -1,14 +1,12 @@
 //! Property tests over random platforms: the paper's guarantees must hold
 //! on *every* valid input, not just the testbed.
 
-use grid_scatter::prelude::{OrderPolicy, Planner, Platform, Processor};
+use grid_scatter::prelude::{CostTable, OrderPolicy, PlanError, Planner, Platform, Processor};
 use grid_scatter::scatter::brute::{best_order_exhaustive, brute_force_distribution};
 use grid_scatter::scatter::closed_form::closed_form_distribution;
-use grid_scatter::scatter::dp_basic::optimal_distribution_basic;
-use grid_scatter::scatter::dp_dc::optimal_distribution_dc;
-use grid_scatter::scatter::dp_optimized::optimal_distribution;
 use grid_scatter::scatter::heuristic::{heuristic_distribution, heuristic_distribution_simplex};
 use grid_scatter::scatter::ordering::scatter_order;
+use grid_scatter::scatter::parallel::{solve, DpSolution, Kernel, ParallelOpts};
 use grid_scatter::scatter::planner::Strategy as PlanStrategy;
 use gs_numeric::Rational;
 use proptest::prelude::*;
@@ -17,6 +15,11 @@ use proptest::prelude::*;
 // some configurations).
 #[allow(unused_imports)]
 use grid_scatter::prelude::Plan as _Plan;
+
+/// One serial solve of `kernel` through a fresh cost table.
+fn dp(kernel: Kernel, view: &[&Processor], n: usize) -> Result<DpSolution, PlanError> {
+    solve(kernel, &CostTable::new(), view, n, &ParallelOpts::serial()).map(|(sol, _)| sol)
+}
 
 /// Random affine platform: root first, then workers with non-zero
 /// intercepts (still monotone, so Algorithm 2 and the D&C kernel apply).
@@ -123,8 +126,8 @@ proptest! {
     fn dp_algorithms_are_optimal(platform in platform_strategy(4), n in 0usize..=14) {
         let order = scatter_order(&platform, OrderPolicy::DescendingBandwidth);
         let view = platform.ordered(&order);
-        let basic = optimal_distribution_basic(&view, n).unwrap();
-        let opt = optimal_distribution(&view, n).unwrap();
+        let basic = dp(Kernel::Basic, &view, n).unwrap();
+        let opt = dp(Kernel::Optimized, &view, n).unwrap();
         let brute = brute_force_distribution(&view, n);
         prop_assert!((basic.makespan - brute.makespan).abs() < 1e-9,
                      "basic {} vs brute {}", basic.makespan, brute.makespan);
@@ -140,7 +143,7 @@ proptest! {
         let order = scatter_order(&platform, OrderPolicy::DescendingBandwidth);
         let view = platform.ordered(&order);
         let h = heuristic_distribution(&view, n).unwrap();
-        let exact = optimal_distribution(&view, n).unwrap();
+        let exact = dp(Kernel::Optimized, &view, n).unwrap();
         prop_assert!(h.rational_makespan.to_f64() <= exact.makespan * (1.0 + 1e-12) + 1e-12);
         prop_assert!(exact.makespan <= h.makespan * (1.0 + 1e-12) + 1e-12);
         prop_assert!(h.makespan <= h.guarantee_bound * (1.0 + 1e-12) + 1e-12,
@@ -197,7 +200,7 @@ proptest! {
     fn descending_order_is_best_up_to_rounding(platform in platform_strategy(4), n in 50usize..=200) {
         let desc_order = scatter_order(&platform, OrderPolicy::DescendingBandwidth);
         let view = platform.ordered(&desc_order);
-        let desc = optimal_distribution(&view, n).unwrap();
+        let desc = dp(Kernel::Optimized, &view, n).unwrap();
         let best = best_order_exhaustive(&platform, n);
         // Integer effects can make another order win by at most one item's
         // worth of comm + comp (the §4.4 guarantee band).
@@ -230,8 +233,8 @@ proptest! {
     fn makespan_monotone_in_n(platform in platform_strategy(4), n in 1usize..=60) {
         let order = scatter_order(&platform, OrderPolicy::DescendingBandwidth);
         let view = platform.ordered(&order);
-        let small = optimal_distribution(&view, n).unwrap();
-        let big = optimal_distribution(&view, n + 1).unwrap();
+        let small = dp(Kernel::Optimized, &view, n).unwrap();
+        let big = dp(Kernel::Optimized, &view, n + 1).unwrap();
         prop_assert!(big.makespan >= small.makespan - 1e-9);
     }
 
@@ -242,9 +245,9 @@ proptest! {
     fn dc_kernel_matches_algorithm_2_linear(platform in platform_strategy(6), n in 0usize..=300) {
         let order = scatter_order(&platform, OrderPolicy::DescendingBandwidth);
         let view = platform.ordered(&order);
-        let dc = optimal_distribution_dc(&view, n).unwrap();
-        let opt = optimal_distribution(&view, n).unwrap();
-        let basic = optimal_distribution_basic(&view, n).unwrap();
+        let dc = dp(Kernel::Dc, &view, n).unwrap();
+        let opt = dp(Kernel::Optimized, &view, n).unwrap();
+        let basic = dp(Kernel::Basic, &view, n).unwrap();
         prop_assert_eq!(&dc.counts, &opt.counts, "D&C tie-breaks must match Algorithm 2");
         prop_assert_eq!(dc.makespan.to_bits(), opt.makespan.to_bits());
         prop_assert_eq!(dc.makespan.to_bits(), basic.makespan.to_bits(),
@@ -257,9 +260,9 @@ proptest! {
     fn dc_kernel_matches_algorithm_2_affine(platform in affine_platform_strategy(5), n in 0usize..=200) {
         let order = scatter_order(&platform, OrderPolicy::DescendingBandwidth);
         let view = platform.ordered(&order);
-        let dc = optimal_distribution_dc(&view, n).unwrap();
-        let opt = optimal_distribution(&view, n).unwrap();
-        let basic = optimal_distribution_basic(&view, n).unwrap();
+        let dc = dp(Kernel::Dc, &view, n).unwrap();
+        let opt = dp(Kernel::Optimized, &view, n).unwrap();
+        let basic = dp(Kernel::Basic, &view, n).unwrap();
         prop_assert_eq!(&dc.counts, &opt.counts, "D&C tie-breaks must match Algorithm 2");
         prop_assert_eq!(dc.makespan.to_bits(), opt.makespan.to_bits());
         prop_assert_eq!(dc.makespan.to_bits(), basic.makespan.to_bits());
@@ -273,11 +276,11 @@ proptest! {
         let order = scatter_order(&platform, OrderPolicy::DescendingBandwidth);
         let view = platform.ordered(&order);
         if n >= 2 && view.len() > 1 {
-            prop_assert!(optimal_distribution(&view, n).is_err(),
+            prop_assert!(dp(Kernel::Optimized, &view, n).is_err(),
                          "Algorithm 2 must reject oscillating costs");
         }
-        let dc = optimal_distribution_dc(&view, n).unwrap();
-        let basic = optimal_distribution_basic(&view, n).unwrap();
+        let dc = dp(Kernel::Dc, &view, n).unwrap();
+        let basic = dp(Kernel::Basic, &view, n).unwrap();
         prop_assert_eq!(&dc.counts, &basic.counts);
         prop_assert_eq!(dc.makespan.to_bits(), basic.makespan.to_bits());
     }
@@ -301,8 +304,8 @@ fn dc_kernel_degenerate_shapes() {
     let view = platform.ordered(&order);
     // n = 0 and n < p.
     for n in [0usize, 1, 2, 3] {
-        let dc = optimal_distribution_dc(&view, n).unwrap();
-        let opt = optimal_distribution(&view, n).unwrap();
+        let dc = dp(Kernel::Dc, &view, n).unwrap();
+        let opt = dp(Kernel::Optimized, &view, n).unwrap();
         assert_eq!(dc.counts, opt.counts, "n={n}");
         assert_eq!(dc.makespan.to_bits(), opt.makespan.to_bits(), "n={n}");
         assert_eq!(dc.counts.iter().sum::<usize>(), n);
@@ -310,7 +313,7 @@ fn dc_kernel_degenerate_shapes() {
     // p = 1: the root keeps everything.
     let solo = Platform::new(vec![Processor::linear("root", 0.0, 2.0)], 0).unwrap();
     let view = solo.ordered(&[0]);
-    let dc = optimal_distribution_dc(&view, 5).unwrap();
+    let dc = dp(Kernel::Dc, &view, 5).unwrap();
     assert_eq!(dc.counts, vec![5]);
     assert_eq!(dc.makespan, 10.0);
 }

@@ -216,6 +216,26 @@ fn span_log_writes_per_request_chrome_trace_with_stage_children() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A line nested far past the parser's 64-level limit is a
+/// `bad_request`, not a stack overflow that aborts the daemon: the same
+/// connection still answers `ping` afterwards.
+#[test]
+fn nesting_bomb_is_a_bad_request_and_the_daemon_survives() {
+    let engine = Arc::new(Engine::new(EngineConfig::default()));
+    let handle = serve(engine, "127.0.0.1:0").expect("bind");
+    let mut client = Client::connect(handle.addr()).unwrap();
+
+    for bomb in ["[".repeat(20_000), r#"{"a":"#.repeat(20_000)] {
+        let resp = client.call_line(&bomb).expect("daemon answers the bomb line");
+        assert!(resp.contains("\"bad_request\""), "{resp}");
+    }
+    let pong = client.call(&Request { id: "p".into(), body: RequestBody::Ping }).unwrap();
+    assert!(matches!(pong.outcome, Outcome::Pong));
+
+    handle.shutdown();
+    handle.join();
+}
+
 #[test]
 fn shutdown_request_stops_the_daemon() {
     let engine = Arc::new(Engine::new(EngineConfig::default()));
