@@ -1,13 +1,14 @@
 //! §5.2 solver-runtime comparison (Algorithm 1 vs 2 vs heuristic), plus
 //! the machine-readable engine perf trajectory (`BENCH_dp.json`):
-//! serial vs parallel vs pruned Algorithm 2 across `(n, p)` points, so
-//! the planning-cost story is comparable PR-over-PR.
+//! serial vs parallel vs pruned Algorithm 2 across `(n, p)` points, and
+//! cold banded plans at the paper's scale (`paper_scale`), so the
+//! planning-cost story is comparable PR-over-PR.
 //!
 //! Flags: `--basic-cap N` (Algorithm-1 size cap), `--max-n N`,
 //! `--threads T` (parallel variants), `--json PATH` (trajectory output,
 //! default `BENCH_dp.json`), `--smoke` (tiny sizes for CI).
 use gs_bench::experiments::runtimes::{
-    algo_runtimes, dp_perf_json, dp_perf_trajectory, extrapolate_quadratic,
+    algo_runtimes, dp_band_row, dp_perf_json, dp_perf_trajectory, extrapolate_quadratic,
 };
 use gs_bench::util::{arg_flag, arg_str, arg_usize, fmt_secs};
 use gs_scatter::paper::N_RAYS_1999;
@@ -70,7 +71,29 @@ fn main() {
         );
         assert!(r.identical, "engine variants diverged at n={} p={}", r.n, r.p);
     }
-    let json = dp_perf_json(&perf, threads);
+
+    // Cold banded plans through `Planner` at the paper's scale, checked
+    // against one full-plane D&C plan.
+    let band_n = if smoke { 20_000 } else { N_RAYS_1999 };
+    let band = dp_band_row(band_n, 16);
+    println!("\nbanded exact plans, Table 1, n = {band_n}, p = 16 (cold, through Planner):");
+    println!(
+        "  Algorithm 2: {} (1 thread), {} (2 threads); D&C: {} (1 thread), {} (2 threads)",
+        fmt_secs(band.exact_secs),
+        fmt_secs(band.exact_2t_secs),
+        fmt_secs(band.dc_secs),
+        fmt_secs(band.dc_2t_secs),
+    );
+    println!(
+        "  full-plane D&C reference: {}; plane {} B banded vs {} B full; identical: {}",
+        fmt_secs(band.full_dc_secs),
+        band.band_plane_bytes,
+        band.full_plane_bytes,
+        band.identical,
+    );
+    assert!(band.identical, "banded plans diverged from the full plane at n={band_n}");
+    assert_eq!(band.band_fallbacks, 0, "a banded plan fell back to the full plane");
+    let json = dp_perf_json(&perf, threads, Some(&band));
     std::fs::write(&json_path, &json).unwrap_or_else(|e| panic!("write {json_path}: {e}"));
     println!("\nperf trajectory written to {json_path}");
 }

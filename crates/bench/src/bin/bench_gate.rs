@@ -61,7 +61,7 @@ fn main() -> ExitCode {
     let simmed = sim_scale(&SimScaleConfig::smoke());
 
     if update {
-        std::fs::write(&dp_path, dp_perf_json(&dp, threads))
+        std::fs::write(&dp_path, dp_perf_json(&dp, threads, None))
             .unwrap_or_else(|e| panic!("write {dp_path}: {e}"));
         std::fs::write(&faults_path, fault_sweep_json(SMOKE_FAULT_ITEMS, &faults, None))
             .unwrap_or_else(|e| panic!("write {faults_path}: {e}"));

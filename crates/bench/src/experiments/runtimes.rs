@@ -9,8 +9,10 @@ use gs_scatter::cost::Platform;
 use gs_scatter::cost_table::CostTable;
 use gs_scatter::heuristic::heuristic_distribution;
 use gs_scatter::ordering::{scatter_order, OrderPolicy};
+use gs_scatter::obs::span;
 use gs_scatter::paper::table1_platform;
 use gs_scatter::parallel::{solve, Kernel, ParallelOpts};
+use gs_scatter::planner::{Plan, Planner, Strategy};
 
 /// Measured solver runtimes at one problem size.
 #[derive(Debug, Clone)]
@@ -235,11 +237,121 @@ pub fn dp_perf_trajectory(cases: &[(usize, usize)], threads: usize) -> Vec<DpPer
         .collect()
 }
 
-/// Renders a trajectory as the `BENCH_dp.json` document (hand-rolled,
-/// schema field for PR-over-PR comparability).
-pub fn dp_perf_json(rows: &[DpPerfRow], threads: usize) -> String {
+/// Cold exact plans at one Table-1 point through [`Planner`]: the banded
+/// default for Algorithm 2 and the D&C kernel at 1 and 2 threads, each
+/// checked bit-identical against one full-plane (`prune(false)`) D&C
+/// plan. "Cold" means every plan tabulates its costs afresh, as an
+/// uncached `gs plan` does.
+#[derive(Debug, Clone)]
+pub struct BandRow {
+    /// Problem size (items).
+    pub n: usize,
+    /// Processors (first `p` rows of Table 1).
+    pub p: usize,
+    /// Banded Algorithm 2, 1 thread, seconds.
+    pub exact_secs: f64,
+    /// Banded Algorithm 2, 2 threads, seconds.
+    pub exact_2t_secs: f64,
+    /// Banded D&C kernel, 1 thread, seconds.
+    pub dc_secs: f64,
+    /// Banded D&C kernel, 2 threads, seconds.
+    pub dc_2t_secs: f64,
+    /// The full-plane D&C reference, 1 thread, seconds.
+    pub full_dc_secs: f64,
+    /// Largest DP plane of the banded plans, bytes.
+    pub band_plane_bytes: u64,
+    /// DP plane of the full-plane reference, bytes.
+    pub full_plane_bytes: u64,
+    /// `dp_band_fallback_total` ticks over the banded plans (must be 0).
+    pub band_fallbacks: u64,
+    /// Whether every banded plan equals the reference bit for bit.
+    pub identical: bool,
+    /// The optimal makespan.
+    pub makespan: f64,
+}
+
+/// Runs the [`BandRow`] plans at `(n, p)`. The plane sizes come from the
+/// `plane_bytes` attribute of each plan's `dp.solve` span.
+pub fn dp_band_row(n: usize, p: usize) -> BandRow {
+    let platform = dp_perf_platform(p);
+    let was_tracing = span::enabled();
+    span::set_enabled(true);
+    span::take_local();
+    let fallbacks = || {
+        let snap = gs_scatter::metrics::Registry::global().snapshot();
+        snap.counters.iter().find(|c| c.name == "dp_band_fallback_total").map_or(0, |c| c.value)
+    };
+    let plan = |strategy: Strategy, threads: usize, prune: bool| -> (f64, Plan, u64) {
+        let planner = Planner::new(platform.clone()).strategy(strategy).threads(threads).prune(prune);
+        let t = Instant::now();
+        let plan = planner.plan(n).expect("Table-1 plan");
+        let secs = t.elapsed().as_secs_f64();
+        let bytes = span::take_local()
+            .iter()
+            .rev()
+            .find(|s| s.name == "dp.solve")
+            .and_then(|s| s.attrs.iter().find(|(k, _)| *k == "plane_bytes"))
+            .and_then(|(_, v)| v.parse().ok())
+            .unwrap_or(0);
+        (secs, plan, bytes)
+    };
+    let (full_dc_secs, reference, full_plane_bytes) = plan(Strategy::ExactDc, 1, false);
+    let before = fallbacks();
+    let runs = [
+        plan(Strategy::Exact, 1, true),
+        plan(Strategy::Exact, 2, true),
+        plan(Strategy::ExactDc, 1, true),
+        plan(Strategy::ExactDc, 2, true),
+    ];
+    let band_fallbacks = fallbacks() - before;
+    span::set_enabled(was_tracing);
+    let identical = runs.iter().all(|(_, plan, _)| {
+        plan.counts == reference.counts
+            && plan.predicted_makespan.to_bits() == reference.predicted_makespan.to_bits()
+            && plan.timing.pruned
+    });
+    BandRow {
+        n,
+        p,
+        exact_secs: runs[0].0,
+        exact_2t_secs: runs[1].0,
+        dc_secs: runs[2].0,
+        dc_2t_secs: runs[3].0,
+        full_dc_secs,
+        band_plane_bytes: runs.iter().map(|r| r.2).max().unwrap_or(0),
+        full_plane_bytes,
+        band_fallbacks,
+        identical,
+        makespan: reference.predicted_makespan,
+    }
+}
+
+/// Renders a trajectory, plus the optional paper-scale [`BandRow`], as
+/// the `BENCH_dp.json` document (hand-rolled, schema field for
+/// PR-over-PR comparability).
+pub fn dp_perf_json(rows: &[DpPerfRow], threads: usize, band: Option<&BandRow>) -> String {
     let mut out = String::from("{\n");
     out.push_str("  \"bench\": \"dp_perf\",\n  \"schema\": 1,\n");
+    if let Some(b) = band {
+        out.push_str(&format!(
+            "  \"paper_scale\": {{\"n\": {}, \"p\": {}, \"exact_secs\": {:.6}, \
+             \"exact_2t_secs\": {:.6}, \"dc_secs\": {:.6}, \"dc_2t_secs\": {:.6}, \
+             \"full_dc_secs\": {:.6}, \"band_plane_bytes\": {}, \"full_plane_bytes\": {}, \
+             \"band_fallbacks\": {}, \"identical\": {}, \"makespan\": {}}},\n",
+            b.n,
+            b.p,
+            b.exact_secs,
+            b.exact_2t_secs,
+            b.dc_secs,
+            b.dc_2t_secs,
+            b.full_dc_secs,
+            b.band_plane_bytes,
+            b.full_plane_bytes,
+            b.band_fallbacks,
+            b.identical,
+            b.makespan,
+        ));
+    }
     out.push_str(&format!("  \"threads\": {threads},\n  \"rows\": [\n"));
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
@@ -317,7 +429,7 @@ mod tests {
             assert!(r.serial_secs > 0.0 && r.parallel_secs > 0.0);
             assert!(r.makespan > 0.0);
         }
-        let json = dp_perf_json(&rows, 2);
+        let json = dp_perf_json(&rows, 2, None);
         assert!(json.contains("\"bench\": \"dp_perf\""));
         assert!(json.contains("\"identical\": true"));
         assert!(json.contains("\"n\": 1500, \"p\": 8"));
@@ -325,6 +437,18 @@ mod tests {
         let doc = gs_scatter::obs::json::parse(&json).unwrap();
         assert_eq!(doc.get("threads").unwrap().as_u64(), Some(2));
         assert_eq!(doc.get("rows").unwrap().as_arr().unwrap().len(), 2);
+    }
+
+    #[test]
+    fn band_row_is_exact_and_small() {
+        let row = dp_band_row(20_000, 16);
+        assert!(row.identical, "banded plans must equal the full-plane reference");
+        assert_eq!(row.band_fallbacks, 0);
+        assert!(row.band_plane_bytes > 0 && row.band_plane_bytes * 20 < row.full_plane_bytes);
+        let json = dp_perf_json(&[], 1, Some(&row));
+        let doc = gs_scatter::obs::json::parse(&json).unwrap();
+        let band = doc.get("paper_scale").unwrap();
+        assert_eq!(band.get("n").unwrap().as_u64(), Some(20_000));
     }
 
     #[test]

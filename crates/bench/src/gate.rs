@@ -413,7 +413,7 @@ mod tests {
     #[test]
     fn identical_runs_pass_both_gates() {
         let dp = vec![dp_row()];
-        let baseline = parse(&dp_perf_json(&dp, 4)).unwrap();
+        let baseline = parse(&dp_perf_json(&dp, 4, None)).unwrap();
         assert!(check_dp(&baseline, &dp, 1e-4).is_empty());
         let faults = vec![fault_row()];
         // Replan timing fields are extra top-level keys the gate ignores.
@@ -424,7 +424,7 @@ mod tests {
     #[test]
     fn timing_changes_do_not_trip_the_gate() {
         let mut fresh = vec![dp_row()];
-        let baseline = parse(&dp_perf_json(&fresh, 4)).unwrap();
+        let baseline = parse(&dp_perf_json(&fresh, 4, None)).unwrap();
         fresh[0].serial_secs *= 100.0; // a slower machine is not a regression
         fresh[0].parallel_secs *= 0.01;
         assert!(check_dp(&baseline, &fresh, 1e-4).is_empty());
@@ -433,7 +433,7 @@ mod tests {
     #[test]
     fn makespan_drift_and_divergence_are_caught() {
         let base_rows = vec![dp_row()];
-        let baseline = parse(&dp_perf_json(&base_rows, 4)).unwrap();
+        let baseline = parse(&dp_perf_json(&base_rows, 4, None)).unwrap();
         let mut fresh = base_rows.clone();
         fresh[0].makespan *= 1.001;
         let bad = check_dp(&baseline, &fresh, 1e-4);
@@ -466,16 +466,16 @@ mod tests {
         fast.p = p;
         fast.serial_secs = 9.0;
         fast.dc_secs = 1.0;
-        let ok = parse(&dp_perf_json(&[fast.clone()], 4)).unwrap();
+        let ok = parse(&dp_perf_json(&[fast.clone()], 4, None)).unwrap();
         assert!(check_dc_speedup(&ok).is_empty());
         let mut slow = fast.clone();
         slow.dc_secs = 5.0; // 1.8x — below the 3x contract
-        let bad = parse(&dp_perf_json(&[slow], 4)).unwrap();
+        let bad = parse(&dp_perf_json(&[slow], 4, None)).unwrap();
         let msgs = check_dc_speedup(&bad);
         assert_eq!(msgs.len(), 1, "{msgs:?}");
         assert!(msgs[0].contains("speedup"), "{msgs:?}");
         // A baseline without the gate's row fails loudly.
-        let other = parse(&dp_perf_json(&[dp_row()], 4)).unwrap();
+        let other = parse(&dp_perf_json(&[dp_row()], 4, None)).unwrap();
         assert!(!check_dc_speedup(&other).is_empty());
     }
 

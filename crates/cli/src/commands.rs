@@ -41,8 +41,6 @@ pub struct PlanOptions {
     pub order: String,
     /// Worker threads for the exact DP strategies (`0` = one per core).
     pub threads: usize,
-    /// Upper-bound pruning for the `exact` strategy.
-    pub prune: bool,
     /// Fault-injection spec (`docs/robustness.md` grammar), e.g.
     /// `"crash:w1@0.01,flaky:w2:1"`. `None` = fault-free.
     pub faults: Option<String>,
@@ -59,7 +57,6 @@ impl Default for PlanOptions {
             kernel: None,
             order: "desc".into(),
             threads: 1,
-            prune: false,
             faults: None,
             no_recovery: false,
         }
@@ -122,7 +119,6 @@ fn make_plan(platform: &Platform, opts: &PlanOptions) -> Result<Plan, CliError> 
         .strategy(strategy)
         .order_policy(parse_order(&opts.order)?)
         .threads(opts.threads)
-        .prune(opts.prune)
         .plan(opts.items)?)
 }
 
@@ -1145,20 +1141,19 @@ mod tests {
         let mut o = opts(1000);
         o.strategy = "exact".into();
         o.threads = 2;
-        o.prune = true;
         let out = cmd_plan(PLATFORM, &o, false).unwrap();
+        // Exact plans are banded by default, and say so.
         assert!(out.contains("exact strategy, 2 threads, pruned"), "{out}");
         assert!(out.contains("cache"), "{out}");
     }
 
     #[test]
-    fn threads_and_prune_do_not_change_the_printed_plan() {
+    fn threads_do_not_change_the_printed_plan() {
         let mut serial = opts(2000);
         serial.strategy = "exact".into();
         let base = cmd_plan(PLATFORM, &serial, false).unwrap();
         let mut tuned = serial.clone();
         tuned.threads = 4;
-        tuned.prune = true;
         let fast = cmd_plan(PLATFORM, &tuned, false).unwrap();
         // Everything up to the timing line is identical.
         let body = |s: &str| {

@@ -61,7 +61,6 @@ OPTIONS:
   --order O          desc (default) | asc | as-is | cpu
   --threads T        worker threads for the exact DPs (default 1, 0 = all cores);
                      results are bit-identical for any thread count
-  --prune            prune the exact DP with a heuristic upper bound (same results)
   --width W          chart width for simulate/report (default 60)
   --source S         trace to export: predicted (default) | simulated | executed
   --item-bytes B     wire size of one item for trace (default 8)
@@ -164,7 +163,6 @@ fn run(args: &[String]) -> Result<(String, bool), CliError> {
                 opts.threads =
                     next_value(args, &mut i)?.parse().map_err(|_| bad("--threads"))?;
             }
-            "--prune" => opts.prune = true,
             "--width" => width = next_value(args, &mut i)?.parse().map_err(|_| bad("--width"))?,
             "--source" => source = next_value(args, &mut i)?,
             "--item-bytes" => {

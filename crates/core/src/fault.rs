@@ -158,8 +158,10 @@ impl FaultPlan {
                 Some(frac) => (frac, horizon / 100.0),
                 None => (s, 1.0),
             };
-            match txt.parse::<f64>() {
-                Ok(x) if x.is_finite() && x >= 0.0 => Ok(x * scale),
+            // A percentage of a huge horizon can overflow: that is an
+            // error too, not an infinite time.
+            match txt.parse::<f64>().map(|x| (x, x * scale)) {
+                Ok((x, t)) if x >= 0.0 && t.is_finite() => Ok(t),
                 _ => Err(PlanError::FaultSpec(format!("bad time `{s}`"))),
             }
         };

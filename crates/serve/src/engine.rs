@@ -71,16 +71,61 @@ enum Computed {
     Sim { predicted: f64, simulated: f64 },
 }
 
+/// What a failed computation tells its requesters.
+type Failure = (ErrorCode, String);
+
 /// One in-flight computation; waiters block on the condvar until the
 /// leader publishes the outcome.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Flight {
-    done: Mutex<Option<Result<Arc<Computed>, String>>>,
+    /// The request being computed: a waiter whose key hash collides
+    /// with a different request must not take this answer.
+    op: Op,
+    params: PlanParams,
+    done: Mutex<Option<Result<Arc<Computed>, Failure>>>,
     cv: Condvar,
 }
 
+impl Flight {
+    /// Publishes the leader's result and wakes every waiter.
+    fn resolve(&self, result: Result<Arc<Computed>, Failure>) {
+        *self.done.lock().unwrap_or_else(|e| e.into_inner()) = Some(result);
+        self.cv.notify_all();
+    }
+}
+
+/// Resolves a leader's flight even when its computation panics: the
+/// in-flight slot is freed and the waiters get an `internal` error
+/// instead of blocking forever. A normal finish disarms it.
+struct FlightGuard<'a> {
+    engine: &'a Engine,
+    key: u64,
+    flight: &'a Flight,
+    armed: bool,
+}
+
+impl Drop for FlightGuard<'_> {
+    fn drop(&mut self) {
+        if self.armed {
+            self.engine.inflight.lock().unwrap_or_else(|e| e.into_inner()).remove(&self.key);
+            self.flight.resolve(Err((
+                ErrorCode::Internal,
+                "the computation of this request panicked".into(),
+            )));
+        }
+    }
+}
+
+/// One cached answer, stored with the request it answers.
+#[derive(Debug)]
+struct Cached {
+    op: Op,
+    params: PlanParams,
+    computed: Arc<Computed>,
+}
+
 /// One shard of the finished-answer cache: key hash → computed result.
-type ResultShard = RwLock<HashMap<u64, Arc<Computed>>>;
+type ResultShard = RwLock<HashMap<u64, Cached>>;
 
 /// The daemon's brain: caches, coalescing, admission, instrumentation.
 /// Cheap to share behind an [`Arc`]; every method takes `&self`.
@@ -100,6 +145,9 @@ pub struct Engine {
     /// Planning computations this engine ran (its share of the global
     /// `serve_computes_total`).
     computes: AtomicU64,
+    /// Hash of a request's `(op, platform, items, strategy)`; a field so
+    /// tests can force collisions.
+    key_of: fn(Op, &PlanParams) -> u64,
 }
 
 impl Engine {
@@ -112,6 +160,7 @@ impl Engine {
             results: (0..shards).map(|_| RwLock::new(HashMap::new())).collect(),
             inflight: Mutex::new(HashMap::new()),
             computes: AtomicU64::new(0),
+            key_of: cache_key,
             cfg,
         }
     }
@@ -174,15 +223,31 @@ impl Engine {
     /// `parent` is the root request span (stage spans attach to it
     /// directly, so every stage is a first-level child in the trace).
     fn planned(&self, op: Op, params: &PlanParams, parent: u64) -> Outcome {
+        self.planned_with(op, params, parent, || self.compute(op, params, parent))
+    }
+
+    /// [`Engine::planned`] with the leader's computation as a parameter,
+    /// so tests can inject a failing one.
+    fn planned_with(
+        &self,
+        op: Op,
+        params: &PlanParams,
+        parent: u64,
+        compute: impl FnOnce() -> Result<Arc<Computed>, String>,
+    ) -> Outcome {
         let reg = Registry::global();
-        let key = cache_key(op, params);
+        let key = (self.key_of)(op, params);
         let shard = &self.results[(key % self.results.len() as u64) as usize];
         let mut cache_span = span::span_with_parent("serve", "request.cache", parent);
+        // A hit must answer this very request: a different request whose
+        // hash collides is a miss.
         if let Some(hit) = shard.read().expect("results lock").get(&key) {
-            reg.counter("serve_cache_hits_total", "requests answered from the result cache")
-                .inc();
-            cache_span.attr("outcome", "hit");
-            return outcome_of(op, hit, CacheStatus::Hit);
+            if hit.op == op && hit.params == *params {
+                reg.counter("serve_cache_hits_total", "requests answered from the result cache")
+                    .inc();
+                cache_span.attr("outcome", "hit");
+                return outcome_of(op, &hit.computed, CacheStatus::Hit);
+            }
         }
         cache_span.attr("outcome", "miss");
         drop(cache_span);
@@ -191,6 +256,19 @@ impl Engine {
         // become the leader (if admitted).
         let flight = {
             let mut inflight = self.inflight.lock().expect("inflight lock");
+            let collides = inflight.get(&key).is_some_and(|f| f.op != op || f.params != *params);
+            if collides {
+                // Another request with the same hash is being computed:
+                // compute this one on its own, neither coalesced nor
+                // cached (its key slot belongs to the other request).
+                drop(inflight);
+                reg.counter("serve_computes_total", "planning computations actually run").inc();
+                self.computes.fetch_add(1, Ordering::Relaxed);
+                return match compute() {
+                    Ok(computed) => outcome_of(op, &computed, CacheStatus::Miss),
+                    Err(message) => plan_failed(message),
+                };
+            }
             if let Some(existing) = inflight.get(&key) {
                 let flight = Arc::clone(existing);
                 drop(inflight);
@@ -206,7 +284,7 @@ impl Engine {
                 }
                 return match done.as_ref().expect("just checked") {
                     Ok(computed) => outcome_of(op, computed, CacheStatus::Coalesced),
-                    Err(message) => plan_failed(message.clone()),
+                    Err((code, message)) => Outcome::Error { code: *code, message: message.clone() },
                 };
             }
             if inflight.len() >= self.cfg.max_inflight {
@@ -223,21 +301,29 @@ impl Engine {
                     ),
                 };
             }
-            let flight = Arc::new(Flight::default());
+            let flight = Arc::new(Flight {
+                op,
+                params: params.clone(),
+                done: Mutex::new(None),
+                cv: Condvar::new(),
+            });
             inflight.insert(key, Arc::clone(&flight));
             flight
         };
 
-        // Leader: compute outside every lock, publish, wake waiters.
+        // Leader: compute outside every lock, publish, wake waiters. The
+        // guard resolves the flight if `compute` panics.
+        let mut guard = FlightGuard { engine: self, key, flight: &flight, armed: true };
         reg.counter("serve_computes_total", "planning computations actually run").inc();
         self.computes.fetch_add(1, Ordering::Relaxed);
-        let result = self.compute(op, params, parent);
+        let result = compute();
         if let Ok(computed) = &result {
-            shard.write().expect("results lock").insert(key, Arc::clone(computed));
+            let cached = Cached { op, params: params.clone(), computed: Arc::clone(computed) };
+            shard.write().expect("results lock").insert(key, cached);
         }
+        guard.armed = false;
         self.inflight.lock().expect("inflight lock").remove(&key);
-        *flight.done.lock().expect("flight lock") = Some(result.clone());
-        flight.cv.notify_all();
+        flight.resolve(result.clone().map_err(|m| (ErrorCode::PlanFailed, m)));
         match result {
             Ok(computed) => outcome_of(op, &computed, CacheStatus::Miss),
             Err(message) => plan_failed(message),
@@ -545,6 +631,74 @@ mod tests {
             1,
             "exactly one leader"
         );
+    }
+
+    #[test]
+    fn panicking_leader_frees_its_slot_and_answers_its_waiters() {
+        const WAITERS: usize = 3;
+        let engine = Engine::new(EngineConfig::default());
+        let req = plan_request("p", 700, "exact");
+        let RequestBody::Plan(params) = &req.body else { unreachable!() };
+        let key = cache_key(Op::Plan, params);
+        let outcomes: Vec<Outcome> = std::thread::scope(|s| {
+            let leader = s.spawn(|| {
+                engine.planned_with(Op::Plan, params, 0, || {
+                    // Wait until every waiter has joined the flight (the
+                    // map's and the leader's handles plus one each).
+                    loop {
+                        let joined = engine
+                            .inflight
+                            .lock()
+                            .unwrap()
+                            .get(&key)
+                            .map_or(0, Arc::strong_count);
+                        if joined >= 2 + WAITERS {
+                            break;
+                        }
+                        std::thread::yield_now();
+                    }
+                    panic!("injected compute failure");
+                })
+            });
+            // Waiters start once the leader owns the in-flight slot.
+            while engine.inflight.lock().unwrap().is_empty() {
+                std::thread::yield_now();
+            }
+            let waiters: Vec<_> =
+                (0..WAITERS).map(|_| s.spawn(|| engine.planned(Op::Plan, params, 0))).collect();
+            assert!(leader.join().is_err(), "the leader's panic propagates to its own thread");
+            waiters.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        for outcome in outcomes {
+            assert!(
+                matches!(outcome, Outcome::Error { code: ErrorCode::Internal, .. }),
+                "waiter got {outcome:?}"
+            );
+        }
+        assert!(engine.inflight.lock().unwrap().is_empty(), "the slot was freed");
+        // The key is usable again: the next request computes normally.
+        let fresh = plan_result(engine.handle(plan_request("again", 700, "exact")));
+        assert_eq!(fresh.cache, CacheStatus::Miss);
+    }
+
+    #[test]
+    fn colliding_keys_never_answer_each_others_requests() {
+        let mut engine = Engine::new(EngineConfig::default());
+        engine.key_of = |_, _| 42;
+        let a = plan_result(engine.handle(plan_request("a", 1000, "exact")));
+        let b = plan_result(engine.handle(plan_request("b", 2000, "exact")));
+        assert_eq!(b.cache, CacheStatus::Miss, "a colliding entry is not a hit");
+        assert_eq!(b.counts.iter().sum::<u64>(), 2000, "b got its own answer");
+        // Each request, repeated, gets its own plan back; the slot holds
+        // the last one stored.
+        let b2 = plan_result(engine.handle(plan_request("b2", 2000, "exact")));
+        assert_eq!(b2.cache, CacheStatus::Hit);
+        assert_eq!(b2.counts, b.counts);
+        let a2 = plan_result(engine.handle(plan_request("a2", 1000, "exact")));
+        assert_eq!(a2.cache, CacheStatus::Miss);
+        assert_eq!(a2.counts, a.counts);
+        assert_eq!(a2.makespan.to_bits(), a.makespan.to_bits());
+        assert_eq!(engine.computes.load(Ordering::Relaxed), 3);
     }
 
     #[test]

@@ -173,6 +173,9 @@ pub enum ErrorCode {
     PlanFailed,
     /// Admission control shed this request under load; retry later.
     Overloaded,
+    /// The daemon failed while computing the answer (a bug, not the
+    /// request's fault); the daemon keeps serving.
+    Internal,
     /// An error code this client build does not know (forward compat).
     Other,
 }
@@ -184,6 +187,7 @@ impl ErrorCode {
             ErrorCode::UnsupportedVersion => "unsupported_version",
             ErrorCode::PlanFailed => "plan_failed",
             ErrorCode::Overloaded => "overloaded",
+            ErrorCode::Internal => "internal",
             ErrorCode::Other => "other",
         }
     }
@@ -194,6 +198,7 @@ impl ErrorCode {
             "unsupported_version" => ErrorCode::UnsupportedVersion,
             "plan_failed" => ErrorCode::PlanFailed,
             "overloaded" => ErrorCode::Overloaded,
+            "internal" => ErrorCode::Internal,
             _ => ErrorCode::Other,
         }
     }

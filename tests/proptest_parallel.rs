@@ -1,7 +1,8 @@
 //! Property tests for the parallel planning engine: every variant —
-//! multi-threaded, upper-bound pruned, or both — must return a
-//! **bit-identical** `(counts, makespan)` to the serial solvers on random
-//! increasing platforms, for thread counts 1, 2 and 8.
+//! multi-threaded, confined to the band the pruning bound certifies, or
+//! both — must return a **bit-identical** `(counts, makespan)` to the
+//! serial full-plane solvers on random increasing platforms, for thread
+//! counts 1, 2 and 8.
 
 use grid_scatter::prelude::{PlanCache, Planner, Platform, Processor, Strategy as PlanStrategy};
 use grid_scatter::scatter::cost_table::CostTable;
@@ -36,7 +37,54 @@ fn affine_platform(max_p: usize) -> impl Strategy<Value = Platform> {
     })
 }
 
+/// Random intercept-heavy affine platform: fixed costs of up to 50 s
+/// against per-item slopes of at most 0.03 s, so the slopes-only seed of
+/// the pruning bound is far from the optimum.
+fn intercept_heavy_platform(max_p: usize) -> impl Strategy<Value = Platform> {
+    let worker = (0u32..=5000, 1u32..=300, 0u32..=5000, 1u32..=300)
+        .prop_map(|(bi, b, ai, a)| (bi as f64 * 1e-2, b as f64 * 1e-5, ai as f64 * 1e-2, a as f64 * 1e-4));
+    (proptest::collection::vec(worker, 1..max_p), 1u32..=300).prop_map(|(workers, root_a)| {
+        let mut procs = vec![Processor::affine("root", 0.0, 0.0, 0.0, root_a as f64 * 1e-4)];
+        for (i, (bi, b, ai, a)) in workers.into_iter().enumerate() {
+            procs.push(Processor::affine(format!("w{i}"), bi, b, ai, a));
+        }
+        Platform::new(procs, 0).unwrap()
+    })
+}
+
 const THREADS: [usize; 3] = [1, 2, 8];
+
+/// Value of the global `dp_band_fallback_total` counter.
+fn band_fallbacks() -> u64 {
+    grid_scatter::scatter::metrics::Registry::global()
+        .snapshot()
+        .counters
+        .iter()
+        .find(|c| c.name == "dp_band_fallback_total")
+        .map_or(0, |c| c.value)
+}
+
+/// The band is invisible in answers: for both kernels and 1 and 2
+/// threads, the banded solve equals the full-plane solve bit for bit,
+/// actually ran banded, and never fell back to the full plane.
+fn assert_band_invisible(platform: &Platform, n: usize) -> Result<(), TestCaseError> {
+    let order = scatter_order(platform, OrderPolicy::DescendingBandwidth);
+    let view = platform.ordered(&order);
+    let table = CostTable::new();
+    let full = solve(Kernel::Dc, &table, &view, n, &ParallelOpts::serial()).unwrap().0;
+    let before = band_fallbacks();
+    for kernel in [Kernel::Optimized, Kernel::Dc] {
+        for threads in [1usize, 2] {
+            let opts = ParallelOpts { threads, prune: true, chunk: 0 };
+            let (banded, timing) = solve(kernel, &table, &view, n, &opts).unwrap();
+            let what = format!("{kernel:?} threads={threads} n={n}");
+            assert_bit_identical(&banded, &full, &what)?;
+            prop_assert!(timing.pruned, "{}: the band did not run", what);
+        }
+    }
+    prop_assert_eq!(band_fallbacks(), before, "a consistent bound fell back to the full plane");
+    Ok(())
+}
 
 /// One solve of `kernel` with `opts` through a fresh cost table.
 fn dp(kernel: Kernel, view: &[&Processor], n: usize, opts: &ParallelOpts) -> DpSolution {
@@ -193,5 +241,26 @@ proptest! {
                 cold.predicted_makespan
             );
         }
+    }
+
+    /// Banded ≡ full plane on random linear platforms.
+    #[test]
+    fn band_is_invisible_linear(platform in linear_platform(8), n in 0usize..=3000) {
+        assert_band_invisible(&platform, n)?;
+    }
+
+    /// Banded ≡ full plane on random affine platforms.
+    #[test]
+    fn band_is_invisible_affine(platform in affine_platform(8), n in 0usize..=3000) {
+        assert_band_invisible(&platform, n)?;
+    }
+
+    /// Banded ≡ full plane where intercepts dominate the costs.
+    #[test]
+    fn band_is_invisible_intercept_heavy(
+        platform in intercept_heavy_platform(8),
+        n in 0usize..=3000,
+    ) {
+        assert_band_invisible(&platform, n)?;
     }
 }
