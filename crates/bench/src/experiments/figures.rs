@@ -3,7 +3,6 @@
 use gs_gridsim::chart::{figure_rows, render_figure, summary_line};
 use gs_gridsim::gantt::{legend, render_gantt};
 use gs_gridsim::load::LoadTrace;
-use gs_gridsim::metrics::RunMetrics;
 use gs_gridsim::sim::{simulate_scatter, SimConfig};
 use gs_scatter::cost::{Platform, Processor};
 use gs_scatter::distribution::uniform_distribution;
@@ -93,7 +92,6 @@ fn run_figure(
         SimConfig::with_loads(loads)
     };
     let sim = simulate_scatter(&view, &counts, &config);
-    let metrics = RunMetrics::from_timeline(&sim.timeline);
     let names: Vec<&str> = plan.order.iter().map(|&i| platform.procs()[i].name.as_str()).collect();
 
     let rows = figure_rows(&names, &counts, &sim.timeline);
@@ -105,9 +103,9 @@ fn run_figure(
     ));
 
     FigureSummary {
-        min_finish: metrics.min_finish,
-        max_finish: metrics.makespan,
-        imbalance: metrics.imbalance,
+        min_finish: sim.timeline.min_finish(),
+        max_finish: sim.timeline.makespan(),
+        imbalance: sim.timeline.imbalance(),
         counts,
         rendering,
     }
@@ -121,7 +119,6 @@ pub fn fig2(n: usize) -> FigureSummary {
     let view = platform.ordered(&order);
     let counts = uniform_distribution(platform.len(), n);
     let sim = simulate_scatter(&view, &counts, &SimConfig::ideal());
-    let metrics = RunMetrics::from_timeline(&sim.timeline);
     let names: Vec<&str> = order.iter().map(|&i| platform.procs()[i].name.as_str()).collect();
     let rows = figure_rows(&names, &counts, &sim.timeline);
     let mut rendering = render_figure(
@@ -136,9 +133,9 @@ pub fn fig2(n: usize) -> FigureSummary {
         reported::UNIFORM_MAX_FINISH
     ));
     FigureSummary {
-        min_finish: metrics.min_finish,
-        max_finish: metrics.makespan,
-        imbalance: metrics.imbalance,
+        min_finish: sim.timeline.min_finish(),
+        max_finish: sim.timeline.makespan(),
+        imbalance: sim.timeline.imbalance(),
         counts,
         rendering,
     }

@@ -9,7 +9,7 @@
 use gs_gridsim::export::{write_trace_csv, write_trace_json};
 use gs_gridsim::sim::simulate_plan;
 use gs_minimpi::{executed_trace, run_world, TimeModel, WorldConfig};
-use gs_scatter::obs::{Trace, TraceSummary};
+use gs_scatter::obs::{Trace, TraceSource, TraceSummary};
 use gs_scatter::ordering::OrderPolicy;
 use gs_scatter::paper::table1_platform;
 use gs_scatter::planner::{Plan, Planner, Strategy};
@@ -49,7 +49,13 @@ pub fn observe_three_ways(n: usize, item_bytes: u64) -> ObsComparison {
     let counts = plan.counts_in_order();
 
     let predicted = plan.predicted_trace(&platform, item_bytes);
-    let simulated = simulate_plan(&platform, &plan, &[]).trace(&names, &counts, item_bytes);
+    let simulated = Trace::from_timeline(
+        TraceSource::Simulated,
+        &names,
+        &counts,
+        item_bytes,
+        &simulate_plan(&platform, &plan, &[]).timeline,
+    );
 
     // Executed: world rank r plays scatter position r (root last), so the
     // runtime's rank-ordered single-port scatterv realizes the plan.

@@ -7,16 +7,13 @@ use gs_gridsim::fault::{simulate_plan_ft, FtScatterSim};
 use gs_gridsim::gantt::{legend, render_gantt};
 use gs_gridsim::sim::simulate_plan;
 use gs_gridsim::{proportional_counts, simulate_star, synthetic_star};
-use gs_minimpi::{
-    executed_trace, executed_trace_ft, run_world, run_world_pooled, FtConfig, TimeModel,
-    WorldConfig,
-};
+use gs_minimpi::{executed_trace, run_world, run_world_pooled, FtConfig, TimeModel, WorldConfig};
 use gs_scatter::calibrate::{Calibration, DriftReport};
 use gs_scatter::cost::{CostFn, Platform};
 use gs_scatter::intern::NameInterner;
 use gs_scatter::fault::{FaultPlan, RecoveryConfig};
 use gs_scatter::obs::json::{self, metrics_to_json, trace_from_json, trace_to_json, Json};
-use gs_scatter::obs::{span, Incident, Trace, TraceSummary};
+use gs_scatter::obs::{span, Incident, Trace, TraceSource, TraceSummary};
 use gs_scatter::ordering::OrderPolicy;
 use gs_scatter::planner::{Plan, Planner, Strategy};
 use gs_transform::{emit_plan_arrays, transform_source, CodegenOptions};
@@ -395,9 +392,13 @@ pub fn cmd_trace(
     }
     let mut trace = match (source, fp) {
         ("predicted", _) => plan.predicted_trace(&platform, item_bytes as u64),
-        ("simulated", None) => {
-            simulate_plan(&platform, &plan, &[]).trace(&names, &counts, item_bytes as u64)
-        }
+        ("simulated", None) => Trace::from_timeline(
+            TraceSource::Simulated,
+            &names,
+            &counts,
+            item_bytes as u64,
+            &simulate_plan(&platform, &plan, &[]).timeline,
+        ),
         ("simulated", Some(fp)) => {
             simulate_plan_ft(&platform, &plan, &fp, recovery_of(opts).as_ref())?
                 .trace(&names, item_bytes as u64)
@@ -484,8 +485,10 @@ fn run_executed_ft(
         (c.take_trace(), c.take_incidents())
     });
     let records: Vec<_> = out.iter().map(|(r, _)| r.clone()).collect();
-    let incidents = out[root].1.clone();
-    executed_trace_ft(names, item_bytes as u64, &records, incidents, recovered)
+    let mut trace = executed_trace(names, item_bytes as u64, &records);
+    trace.label = Some(if recovered { "recovered" } else { "degraded" }.to_string());
+    trace.incidents = out[root].1.clone();
+    trace
 }
 
 /// `gs report`: ingests 1–3 exported JSON traces, validates them, and
@@ -660,7 +663,7 @@ pub fn cmd_sim(opts: &SimOptions) -> Result<String, CliError> {
     let work: Vec<f64> = alpha.iter().zip(&counts).map(|(a, &c)| a * c as f64).collect();
 
     let started = std::time::Instant::now();
-    let sim = simulate_star(&comm, &work, opts.emit_trace);
+    let sim = simulate_star(&comm, &work, false);
     let wall = started.elapsed().as_secs_f64();
 
     if opts.emit_trace {
@@ -671,7 +674,8 @@ pub fn cmd_sim(opts: &SimOptions) -> Result<String, CliError> {
             (0..opts.ranks).map(|i| NameInterner::placeholder(i as u32)).collect();
         let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
         let counts_usize: Vec<usize> = counts.iter().map(|&c| c as usize).collect();
-        let trace = sim.into_scatter_sim().trace(&name_refs, &counts_usize, 1);
+        let trace =
+            Trace::from_timeline(TraceSource::Simulated, &name_refs, &counts_usize, 1, &sim.timeline);
         return Ok(trace_to_json(&trace));
     }
 

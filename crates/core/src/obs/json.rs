@@ -617,8 +617,8 @@ pub fn metrics_from_json(obj: &Json) -> Result<MetricsSnapshot, TraceError> {
 /// document comes from outside the process.
 pub fn trace_from_json(text: &str) -> Result<Trace, TraceError> {
     let doc = parse(text)?;
-    let schema = usize_field(&doc, "schema")? as u32;
-    if schema != SCHEMA_VERSION {
+    let schema = u64_field(&doc, "schema")?;
+    if schema != u64::from(SCHEMA_VERSION) {
         return Err(TraceError(format!(
             "unsupported schema version {schema} (this build reads {SCHEMA_VERSION})"
         )));
@@ -879,6 +879,9 @@ mod tests {
         let wrong = text.replace("\"schema\": 1", "\"schema\": 999");
         let err = trace_from_json(&wrong).unwrap_err();
         assert!(err.0.contains("unsupported schema version 999"), "{err}");
+        // 2³² + 1 is not 1, however it would truncate.
+        let wrapped = text.replace("\"schema\": 1", "\"schema\": 4294967297");
+        assert!(trace_from_json(&wrapped).is_err());
     }
 
     #[test]

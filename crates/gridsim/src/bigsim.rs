@@ -28,7 +28,6 @@ use gs_scatter::obs::span;
 
 use crate::calendar::CalendarQueue;
 use crate::engine::{SimEvent, SimEventKind};
-use crate::sim::ScatterSim;
 
 /// Result of one fast-path scatter simulation.
 #[derive(Debug, Clone)]
@@ -48,14 +47,6 @@ pub struct BigScatterSim {
     pub events: Vec<SimEvent>,
 }
 
-impl BigScatterSim {
-    /// Repackages the run as a [`ScatterSim`] so the classic trace
-    /// emission ([`ScatterSim::trace`]) applies. Requires a recorded run.
-    pub fn into_scatter_sim(self) -> ScatterSim {
-        ScatterSim { timeline: self.timeline, events: self.events, makespan: self.makespan }
-    }
-}
-
 /// Per-position transfer and compute durations, the fast path's whole
 /// input: `comm[i]` seconds on the root's port, then `work[i]` seconds of
 /// compute, for the processor at scatter position `i` (root last).
@@ -67,8 +58,9 @@ pub fn star_durations(procs: &[&Processor], counts: &[usize]) -> (Vec<f64>, Vec<
 }
 
 /// Simulates one single-port scatter + compute phase from bare
-/// durations. `record` keeps the full [`SimEvent`] stream (needed for
-/// trace emission and the equivalence tests; skip it at large `p`).
+/// durations. `record` keeps the full [`SimEvent`] stream (the
+/// equivalence tests compare it with the classic engine's; skip it at
+/// large `p` — the trace of a run is built from its timeline).
 ///
 /// Event order — including `(time, seq)` tie-breaks — replicates
 /// [`crate::sim::simulate_scatter`] exactly: the send chain advances the
@@ -352,17 +344,5 @@ mod tests {
             .iter()
             .zip(&sim.timeline.comm_end)
             .all(|(f, c)| f >= c));
-    }
-
-    #[test]
-    fn into_scatter_sim_round_trips_trace() {
-        let ps = procs();
-        let view: Vec<&Processor> = ps.iter().collect();
-        let counts = vec![3usize, 2, 1];
-        let (comm, work) = star_durations(&view, &counts);
-        let fast = simulate_star(&comm, &work, true).into_scatter_sim();
-        let trace = fast.trace(&["a", "b", "root"], &counts, 8);
-        trace.validate().unwrap();
-        assert_eq!(trace.summarize().unwrap().makespan, fast.makespan);
     }
 }

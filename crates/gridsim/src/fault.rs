@@ -25,7 +25,7 @@ use gs_scatter::error::PlanError;
 use gs_scatter::fault::{
     scatter_schedule, Delivery, FaultPlan, RecoveryConfig, ReplanRecord, ScatterSchedule,
 };
-use gs_scatter::obs::{Event, EventKind, Incident, Trace, TraceSource};
+use gs_scatter::obs::{Incident, Interval, Trace, TraceSource};
 use gs_scatter::planner::Plan;
 
 /// Result of one fault-injected scatter + compute phase.
@@ -69,60 +69,26 @@ impl FtScatterSim {
     /// Item ranges are attached only to contiguous transfers.
     pub fn trace(&self, names: &[&str], item_bytes: u64) -> Trace {
         assert_eq!(names.len(), self.timeline.finish.len(), "names must match the run");
-        let p = names.len();
-        let root = p.saturating_sub(1);
-        let mut trace = Trace::new(
-            TraceSource::Simulated,
-            item_bytes,
-            names.iter().map(|s| s.to_string()).collect(),
+        let root = names.len().saturating_sub(1);
+        let contiguous = |ranges: &[(u64, u64)]| match ranges {
+            [range] => Some(*range),
+            _ => None,
+        };
+        let sends = self.deliveries.iter().map(|d| {
+            let items: u64 = d.ranges.iter().map(|&(lo, hi)| hi - lo).sum();
+            Interval::send(d.rank, root, items * item_bytes, d.start, d.end)
+                .with_items(contiguous(&d.ranges))
+        });
+        let computes = self.assignments.iter().enumerate().filter(|(_, a)| !a.is_empty()).map(
+            |(rank, assigned)| {
+                Interval::compute(rank, self.timeline.comm_end[rank], self.timeline.finish[rank])
+                    .with_items(contiguous(assigned))
+            },
         );
+        let mut trace =
+            Trace::from_intervals(TraceSource::Simulated, item_bytes, names, sends.chain(computes));
         trace.label = Some(if self.recovered { "recovered" } else { "degraded" }.to_string());
         trace.incidents = self.incidents.clone();
-        let mut first_busy = vec![f64::INFINITY; p];
-        let mut last_busy = vec![0.0f64; p];
-        for d in &self.deliveries {
-            let items: u64 = d.ranges.iter().map(|&(lo, hi)| hi - lo).sum();
-            let bytes = items * item_bytes;
-            let mut start = Event::send(EventKind::SendStart, d.start, d.rank, root, bytes);
-            let mut end = Event::send(EventKind::SendEnd, d.end, d.rank, root, bytes);
-            if let [(lo, hi)] = d.ranges[..] {
-                start = start.with_items(lo, hi);
-                end = end.with_items(lo, hi);
-            }
-            trace.push(start);
-            trace.push(end);
-            first_busy[d.rank] = first_busy[d.rank].min(d.start);
-            last_busy[d.rank] = last_busy[d.rank].max(d.end);
-            if d.rank != root {
-                first_busy[root] = first_busy[root].min(d.start);
-                last_busy[root] = last_busy[root].max(d.end);
-            }
-        }
-        for rank in 0..p {
-            if self.assignments[rank].is_empty() {
-                continue;
-            }
-            let (start, end) = (self.timeline.comm_end[rank], self.timeline.finish[rank]);
-            let mut cs = Event::compute(EventKind::ComputeStart, start, rank);
-            let mut ce = Event::compute(EventKind::ComputeEnd, end, rank);
-            if let [(lo, hi)] = self.assignments[rank][..] {
-                cs = cs.with_items(lo, hi);
-                ce = ce.with_items(lo, hi);
-            }
-            trace.push(cs);
-            trace.push(ce);
-            first_busy[rank] = first_busy[rank].min(start);
-            last_busy[rank] = last_busy[rank].max(end);
-        }
-        for rank in 0..p {
-            if first_busy[rank] > 0.0 {
-                trace.push(Event::idle(0.0, rank));
-            }
-            if last_busy[rank] < self.makespan {
-                trace.push(Event::idle(last_busy[rank], rank));
-            }
-        }
-        trace.sort_events();
         trace
     }
 }

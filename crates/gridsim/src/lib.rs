@@ -17,9 +17,13 @@
 //!
 //! Without perturbations the simulated schedule coincides *exactly* with
 //! the analytic Eq. (1)/(2) timeline — a property the test-suite enforces —
-//! so the simulator earns its keep on the perturbed and multi-round
-//! scenarios, and as the renderer of the paper's figures
-//! ([`gantt`], [`chart`]).
+//! so the simulator earns its keep on perturbed scenarios (background
+//! load, [`fault`]s) and as the renderer of the paper's figures
+//! ([`gantt`], [`chart`]). A run's schedule is its
+//! [`gs_scatter::distribution::Timeline`]: `Trace::from_timeline` turns it
+//! into an observability trace, and the summary numbers of a run
+//! (makespan, earliest finish, §5.2 imbalance, idle area) are `Timeline`
+//! methods.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -34,7 +38,6 @@ pub mod gantt;
 pub mod installments;
 pub mod load;
 pub mod masterworker;
-pub mod metrics;
 pub mod multiport;
 pub mod sim;
 
@@ -48,7 +51,6 @@ pub use fault::{simulate_plan_ft, simulate_scatter_ft, FtScatterSim};
 pub use installments::{simulate_installments, split_installments, InstallmentRun};
 pub use load::LoadTrace;
 pub use masterworker::{simulate_master_worker, MasterWorkerConfig, MasterWorkerRun};
-pub use metrics::RunMetrics;
 pub use multiport::{simulate_multiport, MultiportConfig};
 pub use sim::{simulate_plan, simulate_scatter, simulate_scatter_on, ScatterSim, SimConfig};
 

@@ -6,7 +6,6 @@ use std::rc::Rc;
 use gs_scatter::cost::{Platform, Processor};
 use gs_scatter::distribution::Timeline;
 use gs_scatter::obs::span;
-use gs_scatter::obs::{Event, EventKind, Trace, TraceSource};
 use gs_scatter::planner::Plan;
 
 use crate::engine::{Engine, SimEvent, SimEventKind};
@@ -33,6 +32,10 @@ impl SimConfig {
 }
 
 /// Result of one simulated scatter + compute phase.
+///
+/// A star run's schedule is its [`Timeline`]: its observability trace is
+/// `Trace::from_timeline(TraceSource::Simulated, names, counts,
+/// item_bytes, &sim.timeline)` (`gs_scatter::obs`).
 #[derive(Debug, Clone)]
 pub struct ScatterSim {
     /// Per-processor schedule, in scatter order.
@@ -41,67 +44,6 @@ pub struct ScatterSim {
     pub events: Vec<SimEvent>,
     /// Overall makespan.
     pub makespan: f64,
-}
-
-impl ScatterSim {
-    /// Converts the engine's raw event stream into an observability
-    /// [`Trace`] (source [`TraceSource::Simulated`]).
-    ///
-    /// `names` and `counts` are in scatter order (root last), matching
-    /// the arguments the simulation ran with; `item_bytes` sizes one
-    /// data item. The engine records *what happened when*; this adds the
-    /// schema's metadata — transfer bytes, contiguous item ranges, the
-    /// sending peer — and explicit idle markers for the stair waits and
-    /// post-finish gaps.
-    pub fn trace(&self, names: &[&str], counts: &[usize], item_bytes: u64) -> Trace {
-        assert_eq!(names.len(), counts.len(), "one count per processor");
-        assert_eq!(names.len(), self.timeline.finish.len(), "names must match the run");
-        let p = names.len();
-        let root = p.saturating_sub(1);
-        let offsets: Vec<u64> = counts
-            .iter()
-            .scan(0u64, |acc, &c| {
-                let lo = *acc;
-                *acc += c as u64;
-                Some(lo)
-            })
-            .collect();
-        let mut trace = Trace::new(
-            TraceSource::Simulated,
-            item_bytes,
-            names.iter().map(|s| s.to_string()).collect(),
-        );
-        for e in &self.events {
-            let i = e.proc;
-            let (lo, hi) = (offsets[i], offsets[i] + counts[i] as u64);
-            trace.push(match e.kind {
-                SimEventKind::SendStart => {
-                    Event::send(EventKind::SendStart, e.time, i, root, counts[i] as u64 * item_bytes)
-                        .with_items(lo, hi)
-                }
-                SimEventKind::SendEnd => {
-                    Event::send(EventKind::SendEnd, e.time, i, root, counts[i] as u64 * item_bytes)
-                        .with_items(lo, hi)
-                }
-                SimEventKind::ComputeStart => {
-                    Event::compute(EventKind::ComputeStart, e.time, i).with_items(lo, hi)
-                }
-                SimEventKind::ComputeEnd => {
-                    Event::compute(EventKind::ComputeEnd, e.time, i).with_items(lo, hi)
-                }
-            });
-        }
-        for i in 0..p {
-            if self.timeline.comm_start[i] > 0.0 {
-                trace.push(Event::idle(0.0, i));
-            }
-            if self.timeline.finish[i] < self.makespan {
-                trace.push(Event::idle(self.timeline.finish[i], i));
-            }
-        }
-        trace.sort_events();
-        trace
-    }
 }
 
 struct SimState {
@@ -254,102 +196,11 @@ pub fn simulate_plan(
     simulate_scatter(&view, &counts, &config)
 }
 
-/// Simulates `rounds` consecutive scatter+compute phases (an SPMD loop that
-/// re-scatters between iterations). Round `k+1` starts only when every
-/// processor of round `k` has finished — the paper keeps the original
-/// code's communication structure, with no overlap between phases.
-/// Background loads persist across rounds (they are absolute-time traces).
-pub fn simulate_multi_round(
-    procs: &[&Processor],
-    counts_per_round: &[Vec<usize>],
-    config: &SimConfig,
-) -> Vec<ScatterSim> {
-    let mut out = Vec::with_capacity(counts_per_round.len());
-    let mut offset = 0.0f64;
-    for counts in counts_per_round {
-        // Shift the load traces into the round's local time frame.
-        let local = SimConfig {
-            loads: config
-                .loads
-                .iter()
-                .map(|t| shift_trace(t, offset))
-                .collect(),
-        };
-        let mut sim = simulate_scatter(procs, counts, &local);
-        // Re-express times absolutely.
-        for v in sim
-            .timeline
-            .comm_start
-            .iter_mut()
-            .chain(sim.timeline.comm_end.iter_mut())
-            .chain(sim.timeline.finish.iter_mut())
-        {
-            *v += offset;
-        }
-        for ev in &mut sim.events {
-            ev.time += offset;
-        }
-        sim.makespan += offset;
-        offset = sim.makespan;
-        out.push(sim);
-    }
-    out
-}
-
-/// Re-bases a load trace so that absolute time `offset` becomes local 0.
-fn shift_trace(trace: &LoadTrace, offset: f64) -> LoadTrace {
-    if offset == 0.0 {
-        return trace.clone();
-    }
-    // Sample the factor at the offset, then keep later segments shifted.
-    let mut segments = vec![(0.0, trace.factor_at(offset))];
-    // Conservatively re-sample boundaries after the offset.
-    let mut t = offset;
-    loop {
-        // Find next boundary after t by probing the trace's own structure:
-        // LoadTrace has no public segment accessor, so probe adaptively.
-        let f = trace.factor_at(t);
-        let mut step = 1.0;
-        let mut next = None;
-        // Exponential search out to a horizon, then binary refine.
-        let horizon = 1e7;
-        while t + step < offset + horizon {
-            if trace.factor_at(t + step) != f {
-                // Binary refine in (t, t+step].
-                let (mut lo, mut hi) = (t, t + step);
-                for _ in 0..80 {
-                    let mid = 0.5 * (lo + hi);
-                    if trace.factor_at(mid) != f {
-                        hi = mid;
-                    } else {
-                        lo = mid;
-                    }
-                }
-                next = Some(hi);
-                break;
-            }
-            step *= 2.0;
-        }
-        match next {
-            Some(b) => {
-                segments.push((b - offset, trace.factor_at(b)));
-                t = b;
-            }
-            None => break,
-        }
-    }
-    // Deduplicate equal consecutive factors and drop the leading identity.
-    segments.dedup_by(|a, b| a.1 == b.1);
-    if segments.len() == 1 && segments[0].1 == 1.0 {
-        return LoadTrace::none();
-    }
-    LoadTrace::new(segments)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use gs_scatter::distribution::timeline;
+    use gs_scatter::obs::{Trace, TraceSource};
     use gs_scatter::ordering::OrderPolicy;
     use gs_scatter::planner::{Planner, Strategy};
 
@@ -443,53 +294,6 @@ mod tests {
     }
 
     #[test]
-    fn multi_round_rounds_are_sequential() {
-        let ps = procs();
-        let view: Vec<&Processor> = ps.iter().collect();
-        let rounds = vec![vec![3usize, 2, 1], vec![1, 1, 1]];
-        let sims = simulate_multi_round(&view, &rounds, &SimConfig::ideal());
-        assert_eq!(sims.len(), 2);
-        let end0 = sims[0].makespan;
-        // Round 1 starts exactly at round 0's makespan.
-        assert_eq!(sims[1].timeline.comm_start[0], end0);
-        assert!(sims[1].makespan > end0);
-    }
-
-    #[test]
-    fn multi_round_load_trace_spans_rounds() {
-        let ps = procs();
-        let view: Vec<&Processor> = ps.iter().collect();
-        // Constant 2x slowdown on proc 0 the whole time.
-        let config = SimConfig::with_loads(vec![
-            LoadTrace::new(vec![(0.0, 2.0)]),
-            LoadTrace::none(),
-            LoadTrace::none(),
-        ]);
-        let rounds = vec![vec![2usize, 0, 0], vec![2, 0, 0]];
-        let sims = simulate_multi_round(&view, &rounds, &config);
-        // Each round: comm 2 s + compute 2*4 = 8 s => 10 s per round.
-        assert_eq!(sims[0].makespan, 10.0);
-        assert_eq!(sims[1].makespan, 20.0);
-    }
-
-    #[test]
-    fn obs_trace_matches_analytic_trace_when_unperturbed() {
-        use gs_scatter::obs::{Trace, TraceSource};
-        let ps = procs();
-        let view: Vec<&Processor> = ps.iter().collect();
-        let counts = vec![3usize, 2, 1];
-        let names = ["a", "b", "root"];
-        let sim = simulate_scatter(&view, &counts, &SimConfig::ideal());
-        let simulated = sim.trace(&names, &counts, 8);
-        simulated.validate().unwrap();
-        // Without perturbation, the event-derived trace coincides with
-        // the analytic Eq. (1) trace (modulo provenance).
-        let analytic =
-            Trace::from_timeline(TraceSource::Simulated, &names, &counts, 8, &timeline(&view, &counts));
-        assert_eq!(simulated, analytic);
-    }
-
-    #[test]
     fn obs_trace_reflects_background_load() {
         let ps = procs();
         let view: Vec<&Processor> = ps.iter().collect();
@@ -497,7 +301,13 @@ mod tests {
         let loads =
             vec![LoadTrace::spike(3.0, 9.0, 2.0), LoadTrace::none(), LoadTrace::none()];
         let sim = simulate_scatter(&view, &counts, &SimConfig::with_loads(loads));
-        let trace = sim.trace(&["a", "b", "root"], &counts, 8);
+        let trace = Trace::from_timeline(
+            TraceSource::Simulated,
+            &["a", "b", "root"],
+            &counts,
+            8,
+            &sim.timeline,
+        );
         trace.validate().unwrap();
         let summary = trace.summarize().unwrap();
         assert_eq!(summary.makespan, 12.0); // victim slowed from 9 to 12

@@ -20,12 +20,12 @@
 
 use gs_scatter::cost::Processor;
 use gs_scatter::fault::{scatter_schedule, FaultPlan, RecoveryConfig};
-use gs_scatter::obs::{Incident, Trace};
+use gs_scatter::obs::Incident;
 
 use crate::comm::{op, Comm};
 use crate::datum::{decode, encode, Datum};
 use crate::message::Tag;
-use crate::trace::{executed_trace, CommOp, CommRecord};
+use crate::trace::CommOp;
 
 /// Configuration of a fault-tolerant scatter world.
 ///
@@ -155,27 +155,11 @@ impl Comm {
     }
 }
 
-/// Merges a fault-tolerant world's records into an executed
-/// observability [`Trace`], labelled `"recovered"` or `"degraded"` and
-/// carrying the root's incident stream (see
-/// [`executed_trace`] for the event conventions).
-pub fn executed_trace_ft(
-    names: &[&str],
-    item_bytes: u64,
-    records: &[Vec<CommRecord>],
-    incidents: Vec<Incident>,
-    recovered: bool,
-) -> Trace {
-    let mut trace = executed_trace(names, item_bytes, records);
-    trace.label = Some(if recovered { "recovered" } else { "degraded" }.to_string());
-    trace.incidents = incidents;
-    trace
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{run_world, WorldConfig};
+    use crate::{executed_trace, run_world, WorldConfig};
+    use gs_scatter::obs::Trace;
     use gs_scatter::fault::{Fault, FaultKind};
 
     fn procs() -> Vec<Processor> {
@@ -206,8 +190,9 @@ mod tests {
             (mine, c.take_trace(), c.take_incidents())
         });
         let records: Vec<_> = out.iter().map(|(_, r, _)| r.clone()).collect();
-        let incidents = out[2].2.clone();
-        let trace = executed_trace_ft(&["a", "b", "root"], 8, &records, incidents, recovered);
+        let mut trace = executed_trace(&["a", "b", "root"], 8, &records);
+        trace.label = Some(if recovered { "recovered" } else { "degraded" }.to_string());
+        trace.incidents = out[2].2.clone();
         (out.into_iter().map(|(m, _, _)| m).collect(), trace)
     }
 

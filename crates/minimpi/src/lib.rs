@@ -59,7 +59,7 @@ mod world;
 
 pub use comm::Comm;
 pub use datum::Datum;
-pub use ft::{executed_trace_ft, FtConfig};
+pub use ft::FtConfig;
 pub use message::Tag;
 pub use nonblocking::RecvRequest;
 pub use time::TimeModel;

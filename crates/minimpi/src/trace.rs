@@ -7,7 +7,7 @@
 //! runs diff directly against predicted and simulated schedules
 //! (`gs report`).
 
-use gs_scatter::obs::{Event, EventKind, Trace, TraceSource};
+use gs_scatter::obs::{Interval, Trace, TraceSource};
 
 use crate::comm::Comm;
 
@@ -55,33 +55,6 @@ impl Comm {
             None => Vec::new(),
         }
     }
-
-    /// Total bytes this rank sent so far (0 unless tracing is enabled).
-    pub fn bytes_sent(&self) -> usize {
-        self.trace
-            .as_ref()
-            .map(|t| {
-                t.iter()
-                    .filter(|r| r.op == CommOp::Send)
-                    .map(|r| r.bytes)
-                    .sum()
-            })
-            .unwrap_or(0)
-    }
-
-    /// Total virtual seconds this rank's port spent sending (0 unless
-    /// tracing is enabled).
-    pub fn send_busy_time(&self) -> f64 {
-        self.trace
-            .as_ref()
-            .map(|t| {
-                t.iter()
-                    .filter(|r| r.op == CommOp::Send)
-                    .map(|r| r.end - r.start)
-                    .sum()
-            })
-            .unwrap_or(0.0)
-    }
 }
 
 /// Merges the per-rank records of a finished world into one
@@ -99,29 +72,14 @@ impl Comm {
 /// reference; payload bytes come from the records themselves).
 pub fn executed_trace(names: &[&str], item_bytes: u64, records: &[Vec<CommRecord>]) -> Trace {
     assert_eq!(names.len(), records.len(), "one record list per rank");
-    let mut trace = Trace::new(
-        TraceSource::Executed,
-        item_bytes,
-        names.iter().map(|s| s.to_string()).collect(),
-    );
-    // Sends first, so that at equal timestamps a receive interval closes
-    // before the compute interval it enables opens (stable sort keeps
-    // push order on ties).
-    for (rank, recs) in records.iter().enumerate() {
-        for r in recs.iter().filter(|r| r.op == CommOp::Send) {
-            let bytes = r.bytes as u64;
-            trace.push(Event::send(EventKind::SendStart, r.start, r.peer, rank, bytes));
-            trace.push(Event::send(EventKind::SendEnd, r.end, r.peer, rank, bytes));
-        }
-    }
-    for (rank, recs) in records.iter().enumerate() {
-        for r in recs.iter().filter(|r| r.op == CommOp::Compute) {
-            trace.push(Event::compute(EventKind::ComputeStart, r.start, rank));
-            trace.push(Event::compute(EventKind::ComputeEnd, r.end, rank));
-        }
-    }
-    trace.sort_events();
-    trace
+    let intervals = records.iter().enumerate().flat_map(|(rank, recs)| {
+        recs.iter().filter_map(move |r| match r.op {
+            CommOp::Send => Some(Interval::send(r.peer, rank, r.bytes as u64, r.start, r.end)),
+            CommOp::Compute => Some(Interval::compute(rank, r.start, r.end)),
+            CommOp::Recv => None,
+        })
+    });
+    Trace::from_intervals(TraceSource::Executed, item_bytes, names, intervals)
 }
 
 #[cfg(test)]
@@ -141,18 +99,17 @@ mod tests {
             c.enable_tracing();
             if c.rank() == 0 {
                 c.send::<u64>(1, Tag::user(1), &[1, 2, 3, 4]); // 32 bytes
-                (c.take_trace(), c.bytes_sent())
             } else {
                 let _ = c.recv::<u64>(0, Tag::user(1));
-                (c.take_trace(), c.bytes_sent())
             }
+            c.take_trace()
         });
-        let (t0, _sent_after_take) = &out[0];
+        let t0 = &out[0];
         assert_eq!(t0.len(), 1);
         assert_eq!(t0[0].op, CommOp::Send);
         assert_eq!(t0[0].bytes, 32);
         assert_eq!(t0[0].end - t0[0].start, 16.0); // 32 bytes * 0.5 s/byte
-        let (t1, _) = &out[1];
+        let t1 = &out[1];
         assert_eq!(t1.len(), 1);
         assert_eq!(t1[0].op, CommOp::Recv);
         assert_eq!(t1[0].end, 16.0, "receiver synced to transfer completion");
@@ -166,9 +123,9 @@ mod tests {
             } else {
                 let _ = c.recv::<u8>(0, Tag::user(9));
             }
-            (c.take_trace().len(), c.bytes_sent(), c.send_busy_time())
+            c.take_trace().len()
         });
-        assert_eq!(out[0], (0, 0, 0.0));
+        assert_eq!(out, [0, 0]);
     }
 
     #[test]
@@ -230,13 +187,13 @@ mod tests {
             if c.rank() == 0 {
                 c.send::<u8>(1, Tag::user(1), &[0; 3]);
                 c.send::<u8>(1, Tag::user(2), &[0; 5]);
-                c.send_busy_time()
             } else {
                 let _ = c.recv::<u8>(0, Tag::user(1));
                 let _ = c.recv::<u8>(0, Tag::user(2));
-                0.0
             }
+            let sends = c.take_trace().into_iter().filter(|r| r.op == CommOp::Send);
+            sends.fold((0, 0.0), |(bytes, busy), r| (bytes + r.bytes, busy + (r.end - r.start)))
         });
-        assert_eq!(out[0], 8.0);
+        assert_eq!(out, [(8, 8.0), (0, 0.0)]);
     }
 }

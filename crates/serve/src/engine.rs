@@ -66,7 +66,7 @@ impl Default for EngineConfig {
 /// A finished computation, shared between the leader, coalesced
 /// waiters, and the result cache.
 #[derive(Debug)]
-enum Computed {
+pub(crate) enum Computed {
     Plan { makespan: f64, counts: Vec<u64>, displs: Vec<u64>, order: Vec<u64> },
     Sim { predicted: f64, simulated: f64 },
 }
@@ -228,7 +228,7 @@ impl Engine {
 
     /// [`Engine::planned`] with the leader's computation as a parameter,
     /// so tests can inject a failing one.
-    fn planned_with(
+    pub(crate) fn planned_with(
         &self,
         op: Op,
         params: &PlanParams,
@@ -394,7 +394,7 @@ impl Engine {
 
 /// Which cached answer shape a request wants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum Op {
+pub(crate) enum Op {
     Plan,
     Simulate,
 }

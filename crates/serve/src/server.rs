@@ -5,6 +5,7 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -15,7 +16,8 @@ use gs_scatter::obs::span;
 
 use crate::engine::Engine;
 use crate::protocol::{
-    decode_request, encode_response, Outcome, ProtocolError, RequestBody, Response,
+    decode_request, encode_response, ErrorCode, Outcome, ProtocolError, Request, RequestBody,
+    Response,
 };
 
 /// A running daemon: the bound address plus the accept-loop thread.
@@ -103,7 +105,8 @@ pub fn serve_with_span_log(
             let stop = Arc::clone(&accept_stop);
             let span_log = span_log.clone();
             std::thread::spawn(move || {
-                let _ = session(&engine, conn, &stop, addr, span_log.as_deref());
+                let handle = |req| engine.handle(req);
+                let _ = session(&handle, conn, &stop, addr, span_log.as_deref());
             });
         }
     });
@@ -111,9 +114,10 @@ pub fn serve_with_span_log(
 }
 
 /// Serves one connection: either a single HTTP `GET /metrics` exchange
-/// or a JSON-lines request/response session.
+/// or a JSON-lines request/response session, each request answered by
+/// `handle` ([`Engine::handle`] in the daemon).
 fn session(
-    engine: &Engine,
+    handle: &impl Fn(Request) -> Response,
     conn: TcpStream,
     stop: &AtomicBool,
     addr: SocketAddr,
@@ -134,7 +138,7 @@ fn session(
         if line.starts_with("GET /metrics") {
             return write_metrics_http(&mut writer);
         }
-        let (response, shutdown) = respond(engine, line);
+        let (response, shutdown) = respond(line, handle);
         writer.write_all(encode_response(&response).as_bytes())?;
         writer.write_all(b"\n")?;
         writer.flush()?;
@@ -172,12 +176,27 @@ fn write_request_spans(dir: &Path, id: &str) {
 }
 
 /// Decodes and handles one request line; the flag says whether it asked
-/// the daemon to shut down.
-fn respond(engine: &Engine, line: &str) -> (Response, bool) {
+/// the daemon to shut down. A panic while handling is answered as an
+/// `internal` error on the same connection, which keeps serving.
+fn respond(line: &str, handle: impl Fn(Request) -> Response) -> (Response, bool) {
     match decode_request(line) {
         Ok(req) => {
             let shutdown = matches!(req.body, RequestBody::Shutdown);
-            (engine.handle(req), shutdown)
+            let id = req.id.clone();
+            let response = panic::catch_unwind(AssertUnwindSafe(|| handle(req)))
+                .unwrap_or_else(|_| {
+                    Registry::global()
+                        .counter("serve_errors_total", "requests answered with an error")
+                        .inc();
+                    Response {
+                        id,
+                        outcome: Outcome::Error {
+                            code: ErrorCode::Internal,
+                            message: "the daemon failed while handling this request".into(),
+                        },
+                    }
+                });
+            (response, shutdown)
         }
         Err(ProtocolError { code, message, id }) => (
             Response {
@@ -200,4 +219,59 @@ fn write_metrics_http(writer: &mut TcpStream) -> std::io::Result<()> {
     writer.write_all(head.as_bytes())?;
     writer.write_all(body.as_bytes())?;
     writer.flush()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::{EngineConfig, Op};
+    use crate::protocol::{decode_response, encode_request, PlanParams};
+
+    #[test]
+    fn a_panicking_request_is_answered_and_its_connection_keeps_serving() {
+        let engine = Engine::new(EngineConfig::default());
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let (conn, _) = listener.accept().unwrap();
+                // Plan requests go through the coalescing path with a
+                // leader computation that panics.
+                let handle = |req: Request| match &req.body {
+                    RequestBody::Plan(params) => Response {
+                        outcome: engine.planned_with(Op::Plan, params, 0, || {
+                            panic!("injected compute failure")
+                        }),
+                        id: req.id,
+                    },
+                    _ => engine.handle(req),
+                };
+                session(&handle, conn, &stop, addr, None).unwrap();
+            });
+            let mut writer = TcpStream::connect(addr).unwrap();
+            let mut reader = BufReader::new(writer.try_clone().unwrap());
+            let mut ask = |req: Request| {
+                writeln!(writer, "{}", encode_request(&req)).unwrap();
+                let mut line = String::new();
+                let answered = reader.read_line(&mut line).unwrap() > 0;
+                answered.then(|| decode_response(line.trim_end()).unwrap())
+            };
+            let params = PlanParams {
+                platform: "proc root beta=0 alpha=0.01\nroot root".into(),
+                items: 10,
+                strategy: "exact".into(),
+            };
+            let boom = ask(Request { id: "boom".into(), body: RequestBody::Plan(params) })
+                .expect("the panicking request gets an answer");
+            assert_eq!(boom.id, "boom");
+            assert!(
+                matches!(boom.outcome, Outcome::Error { code: ErrorCode::Internal, .. }),
+                "{boom:?}"
+            );
+            let after = ask(Request { id: "after".into(), body: RequestBody::Ping })
+                .expect("the connection keeps serving");
+            assert_eq!(after.outcome, Outcome::Pong);
+        });
+    }
 }

@@ -39,7 +39,13 @@ fn main() {
 
     // Path 2: the discrete-event simulator (unperturbed here; pass
     // LoadTrace background load to see the schedule degrade).
-    let simulated = simulate_plan(&platform, &plan, &[]).trace(&names, &counts, item_bytes);
+    let simulated = Trace::from_timeline(
+        TraceSource::Simulated,
+        &names,
+        &counts,
+        item_bytes,
+        &simulate_plan(&platform, &plan, &[]).timeline,
+    );
 
     // Path 3: a real scatterv on the threaded minimpi runtime. World
     // rank r plays scatter position r (root last), so the rank-ordered

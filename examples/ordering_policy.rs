@@ -27,11 +27,8 @@ fn main() {
             .order_policy(policy)
             .plan(n)
             .unwrap();
-        let metrics = RunMetrics::from_timeline(&plan.predicted);
-        println!(
-            "{:<38} {:>12.1} {:>12.1}",
-            label, plan.predicted_makespan, metrics.stair_area
-        );
+        let stair: f64 = plan.predicted.comm_start.iter().sum();
+        println!("{:<38} {:>12.1} {:>12.1}", label, plan.predicted_makespan, stair);
         if policy == OrderPolicy::DescendingBandwidth {
             desc_makespan = Some(plan.predicted_makespan);
         }

@@ -91,7 +91,7 @@ pub use gs_transform as transform;
 
 /// One-stop imports for typical use.
 pub mod prelude {
-    pub use gs_gridsim::{simulate_plan, simulate_scatter, LoadTrace, RunMetrics, SimConfig};
+    pub use gs_gridsim::{simulate_plan, simulate_scatter, LoadTrace, SimConfig};
     pub use gs_minimpi::{run_world, Comm, TimeModel, WorldConfig};
     pub use gs_scatter::prelude::*;
     pub use gs_seismic::{run_tomography, EarthModel, TomoConfig, TomoReport};

@@ -12,7 +12,7 @@
 //!   bit**, because both drive the same fault oracle.
 
 use grid_scatter::gridsim::fault::{simulate_scatter_ft, FtScatterSim};
-use grid_scatter::minimpi::{executed_trace_ft, run_world, FtConfig, WorldConfig};
+use grid_scatter::minimpi::{executed_trace, run_world, FtConfig, WorldConfig};
 use grid_scatter::scatter::cost::{Platform, Processor};
 use grid_scatter::scatter::fault::{replan_residual, FaultPlan, RecoveryConfig};
 use grid_scatter::scatter::ordering::OrderPolicy;
@@ -154,8 +154,10 @@ fn run_executed(
     }
     let names: Vec<&str> = procs.iter().map(|p| p.name.as_str()).collect();
     let records: Vec<_> = out.iter().map(|(_, r, _)| r.clone()).collect();
-    let incidents = out[p - 1].2.clone();
-    executed_trace_ft(&names, ITEM_BYTES, &records, incidents, recovered)
+    let mut trace = executed_trace(&names, ITEM_BYTES, &records);
+    trace.label = Some(if recovered { "recovered" } else { "degraded" }.to_string());
+    trace.incidents = out[p - 1].2.clone();
+    trace
 }
 
 proptest! {

@@ -1,12 +1,16 @@
 //! The text parsers behind `gs` and `gs serve` are total: over arbitrary
 //! bytes and adversarial shapes — huge numbers, NaN/inf spellings,
-//! invalid UTF-8, very long lines — `platform_file::parse_platform` and
-//! `FaultPlan::parse` return `Ok` or a typed error, never panic, and
-//! what they accept is well-formed (finite, non-negative numbers).
+//! invalid UTF-8, very long lines, deep nesting —
+//! `platform_file::parse_platform`, `FaultPlan::parse`,
+//! `obs::json::parse`, `obs::json::trace_from_json` and
+//! `gs_serve::protocol::decode_request` return `Ok` or a typed error,
+//! never panic, and what they accept is well-formed.
 
 use grid_scatter::prelude::{Planner, Strategy as PlanStrategy};
 use grid_scatter::scatter::fault::{FaultKind, FaultPlan};
+use grid_scatter::scatter::obs::json::{parse, trace_from_json};
 use grid_scatter::scatter::platform_file::parse_platform;
+use gs_serve::protocol::{decode_request, RequestBody};
 use proptest::prelude::*;
 
 /// Number spellings a parser has to survive; the first [`VALID`] parse
@@ -113,8 +117,146 @@ fn check_faults(spec: &str, horizon: f64) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// JSON scalars and fragments a reader has to survive: huge, negative,
+/// fractional and non-finite numbers, NaN/inf spellings (not JSON),
+/// integers past `u32`/2⁵³/`u64`, broken escapes, lone surrogates,
+/// invalid UTF-8 (as decoded lossily), and wrong types.
+const JSON_VALUES: &[&str] = &[
+    "0", "1", "2", "-1", "-0", "1.5", "1e308", "1e309", "-1e309", "4.9e-324", "1e-400",
+    "4294967297", "9007199254740993", "18446744073709551616", "1e19", "NaN", "nan", "inf",
+    "-inf", "Infinity", "+1", "01", "1e", "-", ".", r#""""#, r#""root""#, r#""inf""#,
+    r#""\u12""#, r#""\ud800""#, r#""\uFFFF""#, r#""\q""#, "\"\u{fffd}\u{fffd}\"",
+    r#""unterminated"#, "null", "true", "[]", "{}", "[1,]", r#"{"a":}"#, r#""send_start""#,
+    r#""idle""#, r#""predicted""#, r#""plan""#, r#""ping""#, r#""exact""#,
+];
+
+fn json_value() -> impl Strategy<Value = &'static str> {
+    (0usize..JSON_VALUES.len()).prop_map(|i| JSON_VALUES[i])
+}
+
+/// Token soup: brackets, separators, keys and scalars in any order —
+/// mostly malformed.
+fn json_soup() -> impl Strategy<Value = String> {
+    const TOKENS: &[&str] = &["[", "]", "{", "}", ",", ":", " ", r#""k""#, r#""t""#, "\\", "\""];
+    let token = (any::<bool>(), 0usize..TOKENS.len(), json_value())
+        .prop_map(|(scalar, t, v)| if scalar { v } else { TOKENS[t] });
+    collection::vec(token, 0..200).prop_map(|tokens| tokens.concat())
+}
+
+/// `depth` nested arrays or objects around a number, closed or not.
+fn nested(depth: usize, object: bool, closed: bool) -> String {
+    let (open, close) = if object { (r#"{"a":"#, "}") } else { ("[", "]") };
+    let mut s = open.repeat(depth);
+    s.push('1');
+    if closed {
+        s.push_str(&close.repeat(depth));
+    }
+    s
+}
+
+/// Fills `template`'s `@` slots in order: each keeps its valid default
+/// two times in three, else takes an adversarial value.
+fn fill(template: &str, defaults: &[&'static str], slots: &[(u8, &'static str)]) -> String {
+    let mut values = defaults.iter().zip(slots).map(|(&d, &(keep, v))| if keep > 0 { d } else { v });
+    template.split('@').enumerate().fold(String::new(), |mut out, (i, piece)| {
+        if i > 0 {
+            out.push_str(values.next().expect("one value per slot"));
+        }
+        out.push_str(piece);
+        out
+    })
+}
+
+/// A schema-v1 trace document with adversarial value slots.
+fn trace_shaped() -> impl Strategy<Value = String> {
+    const TEMPLATE: &str = concat!(
+        r#"{"schema":@,"source":@,"item_bytes":@,"names":[@,"root"],"label":@,"#,
+        r#""events":[{"t":@,"kind":@,"rank":@,"peer":@,"item_lo":@,"item_hi":@,"bytes":@},"#,
+        r#"{"t":@,"kind":"send_end","rank":0,"peer":1,"bytes":8}],"#,
+        r#""incidents":[{"t":@,"kind":"fault","rank":@,"items":@,"info":"x"}]}"#
+    );
+    const DEFAULTS: &[&str] = &[
+        "1", r#""simulated""#, "8", r#""w""#, r#""recovered""#, "0", r#""send_start""#, "0",
+        "1", "0", "1", "8", "1.5", "1", "0", "1",
+    ];
+    collection::vec((0u8..3, json_value()), DEFAULTS.len())
+        .prop_map(|slots| fill(TEMPLATE, DEFAULTS, &slots))
+}
+
+/// A `gs serve` request line with adversarial value slots.
+fn request_shaped() -> impl Strategy<Value = String> {
+    const TEMPLATE: &str =
+        r#"{"v":@,"id":@,"op":@,"platform":@,"items":@,"strategy":@,"traces":[@]}"#;
+    const DEFAULTS: &[&str] = &[
+        "1", r#""r1""#, r#""plan""#, r#""proc root beta=0 alpha=0.01\nroot root""#, "100",
+        r#""exact""#, r#""{}""#,
+    ];
+    collection::vec((0u8..3, json_value()), DEFAULTS.len())
+        .prop_map(|slots| fill(TEMPLATE, DEFAULTS, &slots))
+}
+
+/// An accepted trace document is one the rest of the pipeline can take:
+/// its `schema` reads exactly 1, and validating and summarizing the
+/// trace never panic.
+fn check_trace(text: &str) -> Result<(), TestCaseError> {
+    let Ok(trace) = trace_from_json(text) else {
+        let _ = parse(text);
+        return Ok(());
+    };
+    let schema = parse(text).unwrap().get("schema").and_then(|s| s.as_f64());
+    prop_assert_eq!(schema, Some(1.0), "accepted another schema: {}", text);
+    if trace.validate().is_ok() {
+        trace.summarize().unwrap();
+    }
+    Ok(())
+}
+
+/// A decoded plan request carries exactly the `items` of its line.
+fn check_request(line: &str) -> Result<(), TestCaseError> {
+    let Ok(req) = decode_request(line) else { return Ok(()) };
+    if let RequestBody::Plan(p) = &req.body {
+        let items = parse(line).unwrap().get("items").and_then(|v| v.as_f64());
+        prop_assert_eq!(items, Some(p.items as f64), "{}", line);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(1000))]
+
+    #[test]
+    fn json_readers_are_total_over_bytes(text in arbitrary_text(512)) {
+        check_trace(&text)?;
+        check_request(&text)?;
+    }
+
+    #[test]
+    fn json_readers_are_total_over_token_soup(text in json_soup()) {
+        check_trace(&text)?;
+        check_request(&text)?;
+    }
+
+    #[test]
+    fn trace_reader_is_total_over_schema_shapes(text in trace_shaped()) {
+        check_trace(&text)?;
+    }
+
+    #[test]
+    fn request_decoder_is_total_over_protocol_shapes(line in request_shaped()) {
+        check_request(&line)?;
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_an_error(
+        depth in 60usize..70,
+        object in any::<bool>(),
+        closed in any::<bool>(),
+    ) {
+        let text = nested(depth, object, closed);
+        prop_assert_eq!(parse(&text).is_ok(), closed && depth <= 64, "depth {}", depth);
+        check_trace(&text)?;
+        check_request(&text)?;
+    }
 
     #[test]
     fn platform_parser_is_total_over_bytes(text in arbitrary_text(512)) {
@@ -149,6 +291,13 @@ fn long_lines_and_huge_inputs_are_handled() {
     assert_eq!(parse_platform(&many).unwrap().len(), 100_000);
     let spec = "crash:w1@1%,".repeat(100_000);
     assert_eq!(FaultPlan::parse(&spec, &["w1", "root"], 10.0).unwrap().faults.len(), 100_000);
+    // A 20,000-level nesting bomb is an error, not a stack overflow.
+    for object in [false, true] {
+        let bomb = nested(20_000, object, true);
+        assert!(parse(&bomb).is_err());
+        assert!(trace_from_json(&bomb).is_err());
+        assert!(decode_request(&bomb).is_err());
+    }
     // Times that overflow once scaled by the horizon are errors.
     assert!(FaultPlan::parse("crash:w1@1e308%", &["w1", "root"], f64::MAX).is_err());
     assert!(FaultPlan::parse("slow:w1:2@1e308%", &["w1", "root"], f64::MAX).is_err());

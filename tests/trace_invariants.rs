@@ -7,7 +7,7 @@
 use grid_scatter::gridsim::sim::simulate_plan;
 use grid_scatter::prelude::*;
 use grid_scatter::scatter::analysis::analyze;
-use grid_scatter::scatter::obs::{EventKind, Trace, TraceSummary};
+use grid_scatter::scatter::obs::{EventKind, Trace, TraceSource, TraceSummary};
 use grid_scatter::scatter::paper::table1_platform;
 use grid_scatter::scatter::planner::{Plan, Strategy};
 use proptest::prelude::*;
@@ -30,7 +30,13 @@ fn three_traces(platform: &Platform, plan: &Plan) -> Vec<Trace> {
         .collect();
     let counts = plan.counts_in_order();
     let predicted = plan.predicted_trace(platform, ITEM_BYTES);
-    let simulated = simulate_plan(platform, plan, &[]).trace(&names, &counts, ITEM_BYTES);
+    let simulated = Trace::from_timeline(
+        TraceSource::Simulated,
+        &names,
+        &counts,
+        ITEM_BYTES,
+        &simulate_plan(platform, plan, &[]).timeline,
+    );
 
     let model = grid_scatter::minimpi::TimeModel::from_platform(platform, ITEM_BYTES as usize)
         .reordered(&plan.order);
@@ -160,7 +166,8 @@ proptest! {
             .collect();
         let counts = plan.counts_in_order();
         let sim = simulate_plan(&platform, &plan, &[]);
-        let trace = sim.trace(&names, &counts, ITEM_BYTES);
+        let trace =
+            Trace::from_timeline(TraceSource::Simulated, &names, &counts, ITEM_BYTES, &sim.timeline);
         let summary = TraceSummary::from_trace(&trace);
         // Eq. (2): T = max_i T_i over the ordered view.
         let view = platform.ordered(&plan.order);
