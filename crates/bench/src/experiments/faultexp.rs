@@ -128,9 +128,10 @@ pub fn fault_sweep(n: usize, seeds: &[u64]) -> (Platform, Vec<FaultSweepRow>) {
 }
 
 /// Times the residual exact-DP re-plan after losing the first-served
-/// worker, cold (fresh planner, no cache) vs warm (a `PlanCache` primed
-/// by the original full plan, exactly what a `FaultSession` holds when
-/// a crash interrupts the first transfer). Dropping the first-served worker
+/// worker, cold (fresh planner, no cache: a banded solve, how
+/// `scatter_schedule` re-plans) vs warm (a full-plane solve warm-started
+/// from a `PlanCache` primed by the original full plan, what
+/// `replan_residual_with` does when handed that cache). Dropping the first-served worker
 /// leaves the whole remaining scatter order as a suffix of the primed
 /// plane — the best case for column reuse, and the common one: the rank
 /// currently receiving data is the one whose crash forces a re-plan.

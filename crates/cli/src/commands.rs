@@ -16,9 +16,9 @@ use gs_scatter::obs::json::{self, metrics_to_json, trace_from_json, trace_to_jso
 use gs_scatter::obs::{span, Incident, Trace, TraceSource, TraceSummary};
 use gs_scatter::ordering::OrderPolicy;
 use gs_scatter::planner::{Plan, Planner, Strategy};
+use gs_scatter::platform_file::{parse_platform, render_platform};
 use gs_transform::{emit_plan_arrays, transform_source, CodegenOptions};
 
-use crate::platform_file::{parse_platform, render_platform};
 use crate::CliError;
 
 /// Options shared by the planning-based subcommands.
@@ -60,23 +60,6 @@ impl Default for PlanOptions {
     }
 }
 
-fn parse_strategy(s: &str) -> Result<Strategy, CliError> {
-    Ok(match s {
-        "uniform" => Strategy::Uniform,
-        "exact" => Strategy::Exact,
-        "exact-basic" => Strategy::ExactBasic,
-        "exact-dc" => Strategy::ExactDc,
-        "heuristic" => Strategy::Heuristic,
-        "closed-form" => Strategy::ClosedForm,
-        other => {
-            return Err(CliError(format!(
-                "unknown strategy `{other}` \
-                 (try uniform|exact|exact-basic|exact-dc|heuristic|closed-form)"
-            )))
-        }
-    })
-}
-
 fn parse_kernel(s: &str) -> Result<Strategy, CliError> {
     Ok(match s {
         "basic" => Strategy::ExactBasic,
@@ -110,7 +93,7 @@ fn make_plan(platform: &Platform, opts: &PlanOptions) -> Result<Plan, CliError> 
     }
     let strategy = match &opts.kernel {
         Some(k) => parse_kernel(k)?,
-        None => parse_strategy(&opts.strategy)?,
+        None => opts.strategy.parse().map_err(CliError)?,
     };
     Ok(Planner::new(platform.clone())
         .strategy(strategy)

@@ -11,13 +11,13 @@
 //! ```
 //!
 //! The platform file is a plain-text description (one processor per line)
-//! parsed by [`platform_file`]; no configuration framework, no serde.
+//! parsed by [`gs_scatter::platform_file`]; no configuration framework, no
+//! serde.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod commands;
-pub mod platform_file;
 pub mod serve_cmd;
 
 /// CLI-level errors with user-facing messages.

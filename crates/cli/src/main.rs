@@ -34,7 +34,7 @@ USAGE:
                                                 executes it on the pooled runtime
 
 PLANNING DAEMON (docs/serve.md):
-  gs serve [--addr A] [--threads T] [--shards S] [--max-inflight M]
+  gs serve [--addr A] [--max-inflight M] [--span-log DIR]
                                                 run the long-lived planning daemon
   gs client <addr> ping                         liveness check
   gs client <addr> plan <platform> --items N [--strategy S]
@@ -79,9 +79,9 @@ OPTIONS:
   --no-recovery      fault-oblivious (degraded) mode: no timeout/retry/re-plan
   --addr A           serve: bind address (default 127.0.0.1:7070; port 0 picks
                      an ephemeral port, printed in the banner)
-  --shards S         serve: result/plan cache shards (default 16)
-  --max-inflight M   serve: planning computations admitted at once before the
-                     daemon sheds load with `overloaded` responses (default 64)
+  --max-inflight M   serve: computations (plan/simulate misses, calibrate fits)
+                     admitted at once before the daemon sheds load with
+                     `overloaded` responses (default 64)
   --json [LINE]      client: send LINE verbatim, print the raw response line;
                      metrics: dump the machine-readable JSON object instead of
                      Prometheus text
@@ -178,10 +178,6 @@ fn run(args: &[String]) -> Result<(String, bool), CliError> {
                 );
             }
             "--addr" => serve_opts.addr = next_value(args, &mut i)?,
-            "--shards" => {
-                serve_opts.cache_shards =
-                    next_value(args, &mut i)?.parse().map_err(|_| bad("--shards"))?;
-            }
             "--max-inflight" => {
                 serve_opts.max_inflight =
                     next_value(args, &mut i)?.parse().map_err(|_| bad("--max-inflight"))?;
@@ -290,7 +286,9 @@ fn run(args: &[String]) -> Result<(String, bool), CliError> {
             }
         }
         "serve" => {
-            serve_opts.planner_threads = opts.threads;
+            if args.iter().any(|a| a == "--threads") {
+                return Err(CliError("`gs serve` takes no --threads".into()));
+            }
             let (handle, banner) = start_daemon(&serve_opts)?;
             // Print (and flush) before blocking so scripts can read the
             // bound address while the daemon runs.

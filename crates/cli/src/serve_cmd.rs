@@ -18,10 +18,6 @@ use crate::CliError;
 pub struct ServeOptions {
     /// Address to bind, e.g. `127.0.0.1:7070` (port `0` = ephemeral).
     pub addr: String,
-    /// Worker threads per exact solve.
-    pub planner_threads: usize,
-    /// Result-cache and plan-cache shards.
-    pub cache_shards: usize,
     /// Admission budget before requests are shed.
     pub max_inflight: usize,
     /// `--span-log DIR`: enable span tracing and write one Chrome
@@ -31,12 +27,9 @@ pub struct ServeOptions {
 
 impl Default for ServeOptions {
     fn default() -> ServeOptions {
-        let cfg = EngineConfig::default();
         ServeOptions {
             addr: "127.0.0.1:7070".into(),
-            planner_threads: cfg.planner_threads,
-            cache_shards: cfg.cache_shards,
-            max_inflight: cfg.max_inflight,
+            max_inflight: EngineConfig::default().max_inflight,
             span_log: None,
         }
     }
@@ -47,11 +40,7 @@ impl Default for ServeOptions {
 /// ([`ServerHandle::join`], what `gs serve` does) or keep the handle
 /// (what tests do).
 pub fn start_daemon(opts: &ServeOptions) -> Result<(ServerHandle, String), CliError> {
-    let engine = Arc::new(Engine::new(EngineConfig {
-        planner_threads: opts.planner_threads,
-        cache_shards: opts.cache_shards,
-        max_inflight: opts.max_inflight,
-    }));
+    let engine = Arc::new(Engine::new(EngineConfig { max_inflight: opts.max_inflight }));
     if opts.span_log.is_some() {
         gs_scatter::obs::span::set_enabled(true);
     }

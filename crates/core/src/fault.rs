@@ -13,22 +13,15 @@
 //!   retry with exponential backoff, and the re-plan strategy used to
 //!   redistribute undelivered items over the survivors;
 //! * [`FaultSession`] — the mutable *oracle* that decides the fate of
-//!   each send attempt. The session also owns a [`PlanCache`] holding
-//!   the DP plane of the last exact solve, so repeated re-plans within
-//!   one recovery episode warm-start instead of recomputing everything;
-//! * [`replan_residual`] (and the cache-aware [`replan_residual_with`])
-//!   — the re-plan step itself: an optimal distribution of the residual
-//!   workload over the surviving processors (preserving their relative
-//!   scatter order), via the existing [`Planner`]. The result is always
-//!   *identical* to a from-scratch solve — property-tested — but with a
-//!   [`PlanCache`] attached the exact strategies reuse the cached DP
-//!   columns of the trailing survivors and only recompute what the
-//!   failure actually invalidated. The cache invalidates itself on any
-//!   platform change: cached columns are keyed by the cost-function
-//!   identities of the trailing processors, so a survivor set whose
-//!   suffix does not match the cached solve (different processors,
-//!   different cost kind, or a re-measured platform) simply misses and
-//!   the solve runs cold;
+//!   each send attempt;
+//! * [`replan_residual`] — the re-plan step itself: an optimal
+//!   distribution of the residual workload over the surviving
+//!   processors (preserving their relative scatter order), via the
+//!   existing [`Planner`], so exact strategies solve cold inside the
+//!   band the pruning bound certifies. [`replan_residual_with`] adds an
+//!   optional [`PlanCache`]: exact strategies then solve on the full
+//!   plane and reuse the cached DP columns of the trailing survivors.
+//!   The result is *identical* either way — property-tested;
 //! * [`scatter_schedule`] — the root's round loop: send every block
 //!   through the oracle, re-plan what was not delivered, repeat. Both
 //!   `gs-gridsim`'s fault simulator and `gs-minimpi`'s fault-tolerant
@@ -36,8 +29,7 @@
 //!   produce bit-identical schedules.
 //!
 //! Everything here is deterministic: the same plan, platform and
-//! recovery policy always produce the same recovery schedule, with or
-//! without warm-starting.
+//! recovery policy always produce the same recovery schedule.
 
 use std::sync::Arc;
 
@@ -493,13 +485,7 @@ pub struct RecoveryConfig {
     /// Multiplicative growth of the backoff per retry.
     pub backoff_factor: f64,
     /// Strategy used to redistribute the residual workload (must accept
-    /// the platform's cost model). Exact strategies re-plan through the
-    /// session's [`PlanCache`] when the call site passes one (see
-    /// [`replan_residual_with`]): the solve warm-starts from the cached
-    /// DP columns of the unchanged trailing survivors, with bit-identical
-    /// results. The cache invalidates automatically whenever the
-    /// platform changes — only columns whose trailing cost-function
-    /// signatures still match are ever reused.
+    /// the platform's cost model); see [`replan_residual`].
     pub replan_strategy: Strategy,
 }
 
@@ -597,34 +583,16 @@ pub struct FaultSession {
     plan: FaultPlan,
     transient_left: Vec<u32>,
     dead: Vec<bool>,
-    cache: Arc<PlanCache>,
 }
 
 impl FaultSession {
-    /// Starts a session for a `p`-rank scatter, with a fresh
-    /// [`PlanCache`] (so repeated re-plans inside this session
-    /// warm-start off each other).
+    /// Starts a session for a `p`-rank scatter.
     pub fn new(plan: &FaultPlan, p: usize) -> FaultSession {
         FaultSession {
             plan: plan.clone(),
             transient_left: (0..p).map(|r| plan.transient_budget(r)).collect(),
             dead: vec![false; p],
-            cache: Arc::new(PlanCache::new()),
         }
-    }
-
-    /// Replaces the session's [`PlanCache`] with a shared one — prime
-    /// it from the initial plan's solve so even the *first* re-plan
-    /// warm-starts.
-    pub fn with_plan_cache(mut self, cache: Arc<PlanCache>) -> FaultSession {
-        self.cache = cache;
-        self
-    }
-
-    /// The session's plan cache, for passing to
-    /// [`replan_residual_with`] (or sharing with a [`Planner`]).
-    pub fn plan_cache(&self) -> &Arc<PlanCache> {
-        &self.cache
     }
 
     /// The underlying fault plan.
@@ -831,8 +799,9 @@ pub struct ResidualPlan {
 }
 
 /// Recomputes an optimal distribution of `residual` items over the
-/// surviving processors (always from scratch — see
-/// [`replan_residual_with`] for the warm-started version).
+/// surviving processors, from scratch (exact strategies run banded, as
+/// every cache-less [`Planner`] does; see [`replan_residual_with`] for
+/// the warm-started version).
 ///
 /// `procs` is the full scatter-order view (root last); `alive[i]`
 /// says whether scatter position `i` survives (`alive[last]` must be
@@ -1050,16 +1019,7 @@ pub fn scatter_schedule(
         let rc = recovery.expect("pool only fills in recovered mode");
         let residual: u64 = pool.iter().map(|&(lo, hi)| hi - lo).sum();
         let alive: Vec<bool> = (0..p).map(|r| !session.is_dead(r)).collect();
-        // Re-plans route through the session's plan cache: after the
-        // first one, later rounds warm-start from the surviving DP
-        // columns (bit-identical results, less recomputation).
-        let rp = replan_residual_with(
-            procs,
-            &alive,
-            residual,
-            rc.replan_strategy,
-            Some(session.plan_cache()),
-        )?;
+        let rp = replan_residual(procs, &alive, residual, rc.replan_strategy)?;
         let t = schedule.port_free;
         schedule.incidents.push(Incident {
             t,
@@ -1308,21 +1268,21 @@ mod tests {
             Processor::linear("root", 0.0, 4e-3),
         ];
         let view: Vec<&Processor> = procs.iter().collect();
-        let session = FaultSession::new(&FaultPlan::none(), 4);
+        let cache = Arc::new(PlanCache::new());
         for strategy in [Strategy::Exact, Strategy::ExactDc, Strategy::ExactBasic] {
             // First re-plan fills the cache; w1 then dies and the second
             // re-plan warm-starts from the surviving suffix.
             let alive1 = [true, true, true, true];
             let warm1 = replan_residual_with(
-                &view, &alive1, 800, strategy, Some(session.plan_cache()),
+                &view, &alive1, 800, strategy, Some(&cache),
             )
             .unwrap();
             let cold1 = replan_residual(&view, &alive1, 800, strategy).unwrap();
             assert_eq!(warm1, cold1, "{strategy:?}: initial re-plan");
             let alive2 = [false, true, true, true];
-            let hits_before = session.plan_cache().hits();
+            let hits_before = cache.hits();
             let warm2 = replan_residual_with(
-                &view, &alive2, 500, strategy, Some(session.plan_cache()),
+                &view, &alive2, 500, strategy, Some(&cache),
             )
             .unwrap();
             let cold2 = replan_residual(&view, &alive2, 500, strategy).unwrap();
@@ -1333,7 +1293,7 @@ mod tests {
                 "{strategy:?}"
             );
             assert!(
-                session.plan_cache().hits() > hits_before,
+                cache.hits() > hits_before,
                 "{strategy:?}: survivor-suffix re-plan must warm-start"
             );
         }
@@ -1342,7 +1302,7 @@ mod tests {
     #[test]
     fn warm_replan_misses_on_a_changed_platform() {
         use crate::cost::Processor;
-        let session = FaultSession::new(&FaultPlan::none(), 3);
+        let cache = Arc::new(PlanCache::new());
         let a = [
             Processor::linear("w1", 2e-3, 8e-3),
             Processor::linear("w2", 1e-3, 5e-3),
@@ -1350,7 +1310,7 @@ mod tests {
         ];
         let view_a: Vec<&Processor> = a.iter().collect();
         let alive = [true, true, true];
-        replan_residual_with(&view_a, &alive, 300, Strategy::Exact, Some(session.plan_cache()))
+        replan_residual_with(&view_a, &alive, 300, Strategy::Exact, Some(&cache))
             .unwrap();
         // Re-measured platform: every cost function differs, so the
         // cached columns are invalid and the lookup must miss.
@@ -1360,12 +1320,12 @@ mod tests {
             Processor::linear("root", 0.0, 5e-3),
         ];
         let view_b: Vec<&Processor> = b.iter().collect();
-        let before = session.plan_cache().hits();
+        let before = cache.hits();
         let rp = replan_residual_with(
-            &view_b, &alive, 300, Strategy::Exact, Some(session.plan_cache()),
+            &view_b, &alive, 300, Strategy::Exact, Some(&cache),
         )
         .unwrap();
-        assert_eq!(session.plan_cache().hits(), before, "changed platform must not hit");
+        assert_eq!(cache.hits(), before, "changed platform must not hit");
         assert_eq!(rp, replan_residual(&view_b, &alive, 300, Strategy::Exact).unwrap());
     }
 

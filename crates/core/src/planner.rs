@@ -38,6 +38,34 @@ pub enum Strategy {
     ClosedForm,
 }
 
+impl std::str::FromStr for Strategy {
+    type Err = String;
+
+    /// Parses a strategy by its command-line / wire name.
+    ///
+    /// ```
+    /// use gs_scatter::planner::Strategy;
+    /// assert_eq!("exact-dc".parse::<Strategy>(), Ok(Strategy::ExactDc));
+    /// assert!("quantum".parse::<Strategy>().unwrap_err().starts_with("unknown strategy"));
+    /// ```
+    fn from_str(s: &str) -> Result<Strategy, String> {
+        Ok(match s {
+            "uniform" => Strategy::Uniform,
+            "exact" => Strategy::Exact,
+            "exact-basic" => Strategy::ExactBasic,
+            "exact-dc" => Strategy::ExactDc,
+            "heuristic" => Strategy::Heuristic,
+            "closed-form" => Strategy::ClosedForm,
+            other => {
+                return Err(format!(
+                    "unknown strategy `{other}` \
+                     (try uniform|exact|exact-basic|exact-dc|heuristic|closed-form)"
+                ))
+            }
+        })
+    }
+}
+
 /// The `(Tcomm, Tcomp)` identity of one processor, in scatter order —
 /// what a cached DP column's validity depends on.
 type CostSig = (CostKey, CostKey);
@@ -52,8 +80,8 @@ struct PlaneEntry {
     plane: DpPlane,
 }
 
-/// Sharded cache of recent exact solves' DP planes, enabling
-/// **warm-started re-plans**.
+/// Cache of the last exact solve's DP plane, enabling **warm-started
+/// re-plans**.
 ///
 /// DP column `i` depends only on the cost functions of processors
 /// `i..p-1` (suffixes of the scatter order). When a re-plan runs over a
@@ -65,31 +93,18 @@ struct PlaneEntry {
 /// changed — in the cached plane itself when the new platform has no
 /// more processors, so a warm re-plan neither allocates nor copies.
 ///
-/// Entries are keyed by a hash of the ordered `(Tcomm, Tcomp)`
-/// cost-function identities (coefficient bits for linear/affine costs,
-/// shared-`Arc` identity for tabulated/custom ones, which survivor
-/// clones share). Any platform change shows up as a signature mismatch
-/// and invalidates the non-matching columns — a changed processor
-/// invalidates every column at or above its scatter position, and a
-/// fully changed platform misses outright. Solves through the cache run
-/// on the **full plane** (never banded), so every cached column holds
-/// the true DP value of every cell `0..=n` — a banded column would be
-/// useless here, because a re-plan's residual `n` and its band differ
-/// from the cached solve's.
-///
-/// # Sharding
-///
-/// [`PlanCache::new`] holds a single plane — the last exact solve wins,
-/// which is exactly right for a CLI run or a fault-recovery session.
-/// A multi-tenant service re-planning many *different* platforms
-/// concurrently wants [`PlanCache::with_shards`]: each shard is an
-/// independent slot under its own lock, and a platform is routed to a
-/// shard by the hash of its **root** (last-in-scatter-order) cost
-/// signature. Routing by the root rather than the whole platform is
-/// deliberate — fault survivors keep the root last, so a re-plan over
-/// survivors lands in the same shard as the original solve and still
-/// finds the trailing columns it can reuse, while unrelated platforms
-/// (different roots) stop evicting each other.
+/// The cache holds one plane: the last exact solve wins. Entries are
+/// keyed by a hash of the ordered `(Tcomm, Tcomp)` cost-function
+/// identities (coefficient bits for linear/affine costs, shared-`Arc`
+/// identity for tabulated/custom ones, which survivor clones share).
+/// Any platform change shows up as a signature mismatch and invalidates
+/// the non-matching columns — a changed processor invalidates every
+/// column at or above its scatter position, and a fully changed
+/// platform misses outright. Solves through the cache run on the **full
+/// plane** (never banded), so every cached column holds the true DP
+/// value of every cell `0..=n` — a banded column would be useless here,
+/// because a re-plan's residual `n` and its band differ from the cached
+/// solve's. A planner without a cache keeps its exact solves banded.
 ///
 /// Plans through a cache are bit-identical in makespan to cold plans —
 /// property-tested — and hits/misses are published as
@@ -117,49 +132,17 @@ struct PlaneEntry {
 /// assert_eq!(warm.total_items(), 1000);
 /// assert!(warm.predicted_makespan < cold.predicted_makespan);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct PlanCache {
-    /// One independently locked slot per shard; `shard_of` routes by the
-    /// root cost signature.
-    shards: Box<[Mutex<Option<PlaneEntry>>]>,
+    slot: Mutex<Option<PlaneEntry>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
-impl Default for PlanCache {
-    fn default() -> PlanCache {
-        PlanCache::with_shards(1)
-    }
-}
-
 impl PlanCache {
-    /// An empty single-shard cache (the last exact solve's plane wins).
+    /// An empty cache.
     pub fn new() -> PlanCache {
         PlanCache::default()
-    }
-
-    /// An empty cache with `shards` independent slots (minimum 1),
-    /// routed by root cost signature. Use more shards when many
-    /// unrelated platforms share one cache — e.g. a planning daemon —
-    /// so they stop evicting each other and contending on one lock.
-    ///
-    /// ```
-    /// use gs_scatter::planner::PlanCache;
-    /// assert_eq!(PlanCache::with_shards(16).shard_count(), 16);
-    /// assert_eq!(PlanCache::with_shards(0).shard_count(), 1);
-    /// ```
-    pub fn with_shards(shards: usize) -> PlanCache {
-        let shards = shards.max(1);
-        PlanCache {
-            shards: (0..shards).map(|_| Mutex::new(None)).collect(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    /// Number of independent shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// Lookups that warm-started a solve (at least one column reused).
@@ -179,22 +162,13 @@ impl PlanCache {
         h.finish()
     }
 
-    /// The shard a platform belongs to: hash of the root (last)
-    /// signature only, so survivor sub-platforms — which keep the root
-    /// last — route to the same shard as the platform they came from.
-    fn shard_of(&self, sigs: &[CostSig]) -> &Mutex<Option<PlaneEntry>> {
-        let mut h = DefaultHasher::new();
-        sigs.last().hash(&mut h);
-        &self.shards[(h.finish() % self.shards.len() as u64) as usize]
-    }
-
     /// Takes the cached plane out when its trailing columns are
     /// reusable for a solve over `sigs` with `n` items, returning it
     /// with the number of trailing columns to reuse. The caller is
     /// expected to [`PlanCache::store`] the new solve's plane, refilling
     /// the slot.
     fn take_warm(&self, sigs: &[CostSig], n: usize) -> Option<(DpPlane, usize)> {
-        let mut slot = self.shard_of(sigs).lock().expect("plan cache poisoned");
+        let mut slot = self.slot.lock().expect("plan cache poisoned");
         let Some(entry) = slot.take() else {
             self.misses.fetch_add(1, Ordering::Relaxed);
             Registry::global()
@@ -234,11 +208,10 @@ impl PlanCache {
     }
 
     /// Stores the plane of a finished **full-plane** exact solve,
-    /// replacing whatever the platform's shard held.
+    /// replacing whatever the cache held.
     fn store(&self, sigs: Vec<CostSig>, plane: DpPlane) {
-        let shard = self.shard_of(&sigs);
         let entry = PlaneEntry { key: PlanCache::key(&sigs), sigs, plane };
-        *shard.lock().expect("plan cache poisoned") = Some(entry);
+        *self.slot.lock().expect("plan cache poisoned") = Some(entry);
     }
 }
 
@@ -689,71 +662,6 @@ mod tests {
             .unwrap();
         assert_eq!(cache.hits(), 0);
         assert_eq!(cache.misses(), 2);
-    }
-
-    #[test]
-    fn sharded_cache_keeps_unrelated_platforms_apart() {
-        // With enough shards, two platforms with different roots no
-        // longer evict each other: plan A, plan B, then re-plan A —
-        // A's plane must still be there (a hit), which the single-slot
-        // cache cannot deliver.
-        let other = Platform::new(
-            vec![
-                Processor::linear("other-root", 0.0, 0.123),
-                Processor::linear("other-w", 1e-4, 0.456),
-            ],
-            0,
-        )
-        .unwrap();
-        for shards in [1usize, 64] {
-            let cache = Arc::new(PlanCache::with_shards(shards));
-            let a = Planner::new(platform())
-                .strategy(Strategy::Exact)
-                .plan_cache(Arc::clone(&cache));
-            let b = Planner::new(other.clone())
-                .strategy(Strategy::Exact)
-                .plan_cache(Arc::clone(&cache));
-            a.plan(2000).unwrap();
-            b.plan(2000).unwrap();
-            let replan = a.plan(1000).unwrap();
-            if shards > 1 {
-                // Root hashes differ, so A and B land in different
-                // shards (true for these fixed coefficients) and the
-                // re-plan warm-starts.
-                assert_eq!(cache.hits(), 1, "shards={shards}");
-            }
-            let cold = Planner::new(platform()).strategy(Strategy::Exact).plan(1000).unwrap();
-            assert_eq!(replan.counts, cold.counts, "shards={shards}");
-            assert_eq!(
-                replan.predicted_makespan.to_bits(),
-                cold.predicted_makespan.to_bits(),
-                "shards={shards}"
-            );
-        }
-    }
-
-    #[test]
-    fn sharded_cache_preserves_survivor_warm_starts() {
-        // The shard is chosen by the root signature, so a survivor
-        // platform (root kept last) must land in the same shard as the
-        // full platform and warm-start, whatever the shard count.
-        let plat = platform();
-        let cache = Arc::new(PlanCache::with_shards(64));
-        Planner::new(plat.clone())
-            .strategy(Strategy::Exact)
-            .plan_cache(Arc::clone(&cache))
-            .plan(4000)
-            .unwrap();
-        let procs = plat.procs();
-        let surv =
-            Platform::new(vec![procs[0].clone(), procs[2].clone(), procs[3].clone()], 0)
-                .unwrap();
-        Planner::new(surv)
-            .strategy(Strategy::Exact)
-            .plan_cache(Arc::clone(&cache))
-            .plan(1500)
-            .unwrap();
-        assert_eq!(cache.hits(), 1, "survivor re-plan must hit across shards");
     }
 
     /// The Send/Sync audit the serve daemon relies on: everything a

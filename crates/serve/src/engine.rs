@@ -16,23 +16,25 @@
 //!            admission (in-flight computes < max_inflight)?
 //!                │ no ──► error {code: "overloaded"}        (shed)
 //!                ▼ yes
-//!            compute (shared CostTable + sharded PlanCache) ──► "miss"
+//!            compute (Planner::new(platform).strategy(s).plan(n)) ──► "miss"
 //! ```
 //!
 //! Every cached or coalesced answer is a clone of the leader's, so all
-//! concurrent identical requests observe **bit-identical plans**.
+//! concurrent identical requests observe **bit-identical plans**. A miss
+//! plans exactly as the library does in-process, with no state carried
+//! over from earlier requests: between requests the engine keeps only
+//! its result cache and its in-flight table.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 
-use gs_scatter::cost_table::CostTable;
 use gs_scatter::metrics::Registry;
 use gs_scatter::obs::json::trace_from_json;
 use gs_scatter::obs::span;
-use gs_scatter::planner::{Plan, PlanCache, Planner, Strategy};
+use gs_scatter::planner::{Plan, Planner, Strategy};
 use gs_scatter::platform_file::parse_platform;
 use gs_scatter::prelude::Calibration;
 
@@ -45,23 +47,21 @@ use crate::protocol::{
 /// small deployments; `gs serve` exposes each as a flag.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Worker threads per exact solve (passed to
-    /// [`Planner::threads`]; `1` keeps each request on its own
-    /// connection thread, which is the right default when many requests
-    /// run concurrently).
-    pub planner_threads: usize,
-    /// Shards for the result cache and the underlying [`PlanCache`].
-    pub cache_shards: usize,
-    /// Admission budget: maximum planning computations in flight before
-    /// further cache-missing requests are shed with `overloaded`.
+    /// Admission budget: maximum computations (`plan`/`simulate` leaders
+    /// and `calibrate` fits) in flight before further ones are shed with
+    /// `overloaded`.
     pub max_inflight: usize,
 }
 
 impl Default for EngineConfig {
     fn default() -> EngineConfig {
-        EngineConfig { planner_threads: 1, cache_shards: 16, max_inflight: 64 }
+        EngineConfig { max_inflight: 64 }
     }
 }
+
+/// Shards of the result cache, to keep unrelated requests off each
+/// other's locks.
+const RESULT_SHARDS: usize = 16;
 
 /// A finished computation, shared between the leader, coalesced
 /// waiters, and the result cache.
@@ -116,6 +116,16 @@ impl Drop for FlightGuard<'_> {
     }
 }
 
+/// Releases an admitted `calibrate` fit's budget slot, also when the
+/// fit panics.
+struct CalibrationGuard<'a>(&'a Engine);
+
+impl Drop for CalibrationGuard<'_> {
+    fn drop(&mut self) {
+        self.0.calibrating.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
 /// One cached answer, stored with the request it answers.
 #[derive(Debug)]
 struct Cached {
@@ -127,21 +137,21 @@ struct Cached {
 /// One shard of the finished-answer cache: key hash → computed result.
 type ResultShard = RwLock<HashMap<u64, Cached>>;
 
-/// The daemon's brain: caches, coalescing, admission, instrumentation.
-/// Cheap to share behind an [`Arc`]; every method takes `&self`.
+/// The daemon's brain: result cache, coalescing, admission,
+/// instrumentation. Cheap to share behind an [`Arc`]; every method
+/// takes `&self`.
 #[derive(Debug)]
 pub struct Engine {
     cfg: EngineConfig,
-    /// Cost tabulations shared by every request (keyed by cost-function
-    /// identity, so distinct platforms coexist).
-    cost_table: Arc<CostTable>,
-    /// DP planes shared by every exact solve, sharded by root signature.
-    plan_cache: Arc<PlanCache>,
     /// Finished answers keyed by `(op, platform, items, strategy)`
-    /// hash, sharded to keep unrelated requests off each other's locks.
+    /// hash, in [`RESULT_SHARDS`] shards.
     results: Box<[ResultShard]>,
     /// Key → in-flight computation, for request coalescing.
     inflight: Mutex<HashMap<u64, Arc<Flight>>>,
+    /// `calibrate` fits running now; they count against the admission
+    /// budget with the in-flight table. Incremented only under the
+    /// `inflight` lock, so two admissions never both take the last slot.
+    calibrating: AtomicUsize,
     /// Planning computations this engine ran (its share of the global
     /// `serve_computes_total`).
     computes: AtomicU64,
@@ -153,22 +163,14 @@ pub struct Engine {
 impl Engine {
     /// Builds an engine (and registers its `serve_*` metrics).
     pub fn new(cfg: EngineConfig) -> Engine {
-        let shards = cfg.cache_shards.max(1);
         Engine {
-            cost_table: Arc::new(CostTable::new()),
-            plan_cache: Arc::new(PlanCache::with_shards(shards)),
-            results: (0..shards).map(|_| RwLock::new(HashMap::new())).collect(),
+            results: (0..RESULT_SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
             inflight: Mutex::new(HashMap::new()),
+            calibrating: AtomicUsize::new(0),
             computes: AtomicU64::new(0),
             key_of: cache_key,
             cfg,
         }
-    }
-
-    /// The shared plan cache (exposed so operators can report
-    /// [`PlanCache::hits`]/[`PlanCache::misses`] out of band).
-    pub fn plan_cache(&self) -> &Arc<PlanCache> {
-        &self.plan_cache
     }
 
     /// Handles one decoded request, start to finish. Never panics on
@@ -197,7 +199,7 @@ impl Engine {
             RequestBody::Shutdown => Outcome::ShuttingDown,
             RequestBody::Plan(p) => self.planned(Op::Plan, &p, root.id()),
             RequestBody::Simulate(p) => self.planned(Op::Simulate, &p, root.id()),
-            RequestBody::Calibrate { traces } => self.calibrate(&traces),
+            RequestBody::Calibrate { traces } => self.calibrate(&traces, root.id()),
         };
         let shed = matches!(&outcome, Outcome::Error { code: ErrorCode::Overloaded, .. });
         if matches!(outcome, Outcome::Error { .. }) {
@@ -287,19 +289,8 @@ impl Engine {
                     Err((code, message)) => Outcome::Error { code: *code, message: message.clone() },
                 };
             }
-            if inflight.len() >= self.cfg.max_inflight {
-                reg.counter("serve_shed_total", "requests shed by admission control").inc();
-                let mut shed_span = span::span_with_parent("serve", "request.shed", parent);
-                shed_span.attr("inflight", inflight.len());
-                shed_span.attr("limit", self.cfg.max_inflight);
-                return Outcome::Error {
-                    code: ErrorCode::Overloaded,
-                    message: format!(
-                        "{} planning requests in flight (limit {}); retry later",
-                        inflight.len(),
-                        self.cfg.max_inflight
-                    ),
-                };
+            if let Some(shed) = self.shed(&inflight, parent) {
+                return shed;
             }
             let flight = Arc::new(Flight {
                 op,
@@ -340,17 +331,12 @@ impl Engine {
         }
         let items =
             usize::try_from(params.items).map_err(|_| "items exceeds this build's usize".to_string())?;
-        let strategy = parse_strategy(&params.strategy)?;
+        let strategy: Strategy = params.strategy.parse()?;
         drop(decode_span);
         let mut compute_span = span::span_with_parent("serve", "request.compute", parent);
         compute_span.attr("items", items);
-        let plan = Planner::new(platform.clone())
-            .strategy(strategy)
-            .threads(self.cfg.planner_threads)
-            .cache(Arc::clone(&self.cost_table))
-            .plan_cache(Arc::clone(&self.plan_cache))
-            .plan(items)
-            .map_err(|e| e.to_string())?;
+        let plan =
+            Planner::new(platform.clone()).strategy(strategy).plan(items).map_err(|e| e.to_string())?;
         Ok(Arc::new(match op {
             Op::Plan => plan_fields(&plan),
             Op::Simulate => {
@@ -360,17 +346,45 @@ impl Engine {
         }))
     }
 
+    /// Admission control: the `overloaded` answer when the computations
+    /// in flight (the `inflight` table, whose lock the caller holds, plus
+    /// running `calibrate` fits) already fill the budget.
+    fn shed(&self, inflight: &HashMap<u64, Arc<Flight>>, parent: u64) -> Option<Outcome> {
+        let busy = inflight.len() + self.calibrating.load(Ordering::Relaxed);
+        if busy < self.cfg.max_inflight {
+            return None;
+        }
+        Registry::global().counter("serve_shed_total", "requests shed by admission control").inc();
+        let mut shed_span = span::span_with_parent("serve", "request.shed", parent);
+        shed_span.attr("inflight", busy);
+        shed_span.attr("limit", self.cfg.max_inflight);
+        Some(Outcome::Error {
+            code: ErrorCode::Overloaded,
+            message: format!(
+                "{busy} computations in flight (limit {}); retry later",
+                self.cfg.max_inflight
+            ),
+        })
+    }
+
     /// The `calibrate` path: parse traces, least-squares-fit a
-    /// platform. Not cached or coalesced — trace payloads rarely
-    /// repeat, and the fit is linear in the trace sizes, far cheaper
-    /// than an exact solve.
-    fn calibrate(&self, trace_texts: &[String]) -> Outcome {
+    /// platform. Admitted against the same budget as planning, but not
+    /// cached or coalesced — trace payloads rarely repeat.
+    fn calibrate(&self, trace_texts: &[String], parent: u64) -> Outcome {
         if trace_texts.is_empty() {
             return Outcome::Error {
                 code: ErrorCode::BadRequest,
                 message: "calibrate needs at least one trace".into(),
             };
         }
+        {
+            let inflight = self.inflight.lock().expect("inflight lock");
+            if let Some(shed) = self.shed(&inflight, parent) {
+                return shed;
+            }
+            self.calibrating.fetch_add(1, Ordering::Relaxed);
+        }
+        let _admitted = CalibrationGuard(self);
         let mut traces = Vec::with_capacity(trace_texts.len());
         for (i, text) in trace_texts.iter().enumerate() {
             match trace_from_json(text) {
@@ -452,23 +466,6 @@ fn outcome_of(op: Op, computed: &Computed, cache: CacheStatus) -> Outcome {
 
 fn plan_failed(message: String) -> Outcome {
     Outcome::Error { code: ErrorCode::PlanFailed, message }
-}
-
-fn parse_strategy(s: &str) -> Result<Strategy, String> {
-    Ok(match s {
-        "uniform" => Strategy::Uniform,
-        "exact-basic" => Strategy::ExactBasic,
-        "exact" => Strategy::Exact,
-        "exact-dc" => Strategy::ExactDc,
-        "heuristic" => Strategy::Heuristic,
-        "closed-form" => Strategy::ClosedForm,
-        other => {
-            return Err(format!(
-                "unknown strategy `{other}` \
-                 (try uniform|exact|exact-basic|exact-dc|heuristic|closed-form)"
-            ))
-        }
-    })
 }
 
 #[cfg(test)]
@@ -705,8 +702,7 @@ mod tests {
     fn admission_control_sheds_excess_load() {
         // A budget of zero sheds every cache-missing request, which is
         // the deterministic way to exercise the overload path.
-        let engine =
-            Engine::new(EngineConfig { max_inflight: 0, ..EngineConfig::default() });
+        let engine = Engine::new(EngineConfig { max_inflight: 0 });
         match engine.handle(plan_request("1", 1000, "exact")).outcome {
             Outcome::Error { code, message } => {
                 assert_eq!(code, ErrorCode::Overloaded);
@@ -714,10 +710,63 @@ mod tests {
             }
             other => panic!("expected overloaded, got {other:?}"),
         }
-        // Pings are never shed: admission only bounds planning work.
+        // Pings are never shed: admission only bounds computations.
         assert_eq!(
             engine.handle(Request { id: "2".into(), body: RequestBody::Ping }).outcome,
             Outcome::Pong
         );
+    }
+
+    #[test]
+    fn calibrate_counts_against_the_admission_budget() {
+        let calibrate = |id: &str| Request {
+            id: id.into(),
+            body: RequestBody::Calibrate { traces: vec!["{}".into()] },
+        };
+        let full = Engine::new(EngineConfig { max_inflight: 0 });
+        match full.handle(calibrate("1")).outcome {
+            Outcome::Error { code, message } => {
+                assert_eq!(code, ErrorCode::Overloaded);
+                assert!(message.contains("retry"), "{message}");
+            }
+            other => panic!("expected overloaded, got {other:?}"),
+        }
+        // An admitted fit gives its slot back when it ends, failed or not.
+        let one = Engine::new(EngineConfig { max_inflight: 1 });
+        match one.handle(calibrate("2")).outcome {
+            Outcome::Error { code, .. } => assert_eq!(code, ErrorCode::PlanFailed),
+            other => panic!("expected plan_failed, got {other:?}"),
+        }
+        assert_eq!(plan_result(one.handle(plan_request("3", 500, "exact"))).cache, CacheStatus::Miss);
+    }
+
+    #[test]
+    fn table1_exact_dc_miss_is_the_banded_library_plan() {
+        let text = gs_scatter::platform_file::render_platform(&gs_scatter::paper::table1_platform());
+        let n = 200_000;
+        let direct = Planner::new(parse_platform(&text).unwrap())
+            .strategy(Strategy::ExactDc)
+            .plan(n)
+            .unwrap();
+        span::set_enabled(true);
+        span::take_local();
+        let engine = Engine::new(EngineConfig::default());
+        let wire = plan_result(engine.handle(Request {
+            id: "t1".into(),
+            body: RequestBody::Plan(PlanParams {
+                platform: text,
+                items: n as u64,
+                strategy: "exact-dc".into(),
+            }),
+        }));
+        let spans = span::take_local();
+        let solve = spans.iter().find(|s| s.name == "dp.solve").expect("the miss ran the DP");
+        assert!(solve.attrs.contains(&("pruned", "true".into())), "{:?}", solve.attrs);
+        assert_eq!(wire.cache, CacheStatus::Miss);
+        let to_u64 = |v: &[usize]| v.iter().map(|&x| x as u64).collect::<Vec<_>>();
+        assert_eq!(wire.makespan.to_bits(), direct.predicted_makespan.to_bits());
+        assert_eq!(wire.counts, to_u64(&direct.counts));
+        assert_eq!(wire.displs, to_u64(&direct.displs));
+        assert_eq!(wire.order, to_u64(&direct.order));
     }
 }

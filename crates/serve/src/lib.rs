@@ -13,18 +13,18 @@
 //!
 //! * **A shared result cache.** Completed plans are kept in a sharded
 //!   map keyed by `(platform, items, strategy)`; repeat requests are
-//!   answered without re-solving. Underneath, all requests share one
-//!   [`CostTable`](gs_scatter::cost_table::CostTable) and one sharded
-//!   [`PlanCache`](gs_scatter::planner::PlanCache), so even *misses*
-//!   warm-start from related solves.
+//!   answered without re-solving. A miss is a plain
+//!   [`Planner`](gs_scatter::planner::Planner) call with no state shared
+//!   across requests, so exact plans stay banded and cost what they cost
+//!   in-process.
 //! * **Request coalescing.** Identical in-flight requests are folded
 //!   into one computation (single-flight): a thundering herd of `k`
 //!   clients asking for the same plan costs one solve, and `k-1`
 //!   responses report `"cache": "coalesced"`.
 //! * **Admission control.** A bounded in-flight budget sheds excess
-//!   planning work with an `overloaded` error response instead of
-//!   queueing without bound; shed requests are cheap and the client
-//!   knows to back off.
+//!   planning and calibration work with an `overloaded` error response
+//!   instead of queueing without bound; shed requests are cheap and the
+//!   client knows to back off.
 //! * **Native observability.** Every stage increments `serve_*` metrics
 //!   in the process-global registry, and the same socket answers
 //!   `GET /metrics` with Prometheus text exposition.

@@ -9,8 +9,8 @@
 use grid_scatter::scatter::calibrate::{Calibration, DriftReport};
 use grid_scatter::scatter::obs::json::trace_from_json;
 use grid_scatter::scatter::planner::Strategy;
+use grid_scatter::scatter::platform_file::parse_platform;
 use gs_cli::commands::{cmd_calibrate, cmd_report_drift, cmd_trace, PlanOptions};
-use gs_cli::platform_file::parse_platform;
 
 /// A deliberately heterogeneous affine platform: every processor has
 /// nonzero slopes *and* intercepts so all four parameters per rank are

@@ -2,14 +2,16 @@
 //! bytes and adversarial shapes — huge numbers, NaN/inf spellings,
 //! invalid UTF-8, very long lines, deep nesting —
 //! `platform_file::parse_platform`, `FaultPlan::parse`,
-//! `obs::json::parse`, `obs::json::trace_from_json` and
-//! `gs_serve::protocol::decode_request` return `Ok` or a typed error,
-//! never panic, and what they accept is well-formed.
+//! `obs::json::parse`, `obs::json::trace_from_json`,
+//! `gs_serve::protocol::decode_request` and the span-file reader behind
+//! `gs report --spans` return `Ok` or a typed error, never panic, and
+//! what they accept is well-formed.
 
 use grid_scatter::prelude::{Planner, Strategy as PlanStrategy};
 use grid_scatter::scatter::fault::{FaultKind, FaultPlan};
 use grid_scatter::scatter::obs::json::{parse, trace_from_json};
 use grid_scatter::scatter::platform_file::parse_platform;
+use gs_cli::commands::cmd_report_spans;
 use gs_serve::protocol::{decode_request, RequestBody};
 use proptest::prelude::*;
 
@@ -195,6 +197,43 @@ fn request_shaped() -> impl Strategy<Value = String> {
         .prop_map(|slots| fill(TEMPLATE, DEFAULTS, &slots))
 }
 
+/// A span file (Chrome trace-event JSON, as `--spans` and `--span-log`
+/// write it) with adversarial value slots: any `ph`, name or `dur`
+/// (huge, negative, non-finite once read, wrong type), ids that are not
+/// strings, and — when `self_parent` is set — events naming themselves
+/// as their parent.
+fn spans_shaped() -> impl Strategy<Value = String> {
+    const TEMPLATE: &str = concat!(
+        r#"{"traceEvents":[{"ph":"M","name":"process_name","args":{"name":"wall"}},"#,
+        r#"{"ph":@,"cat":@,"name":@,"ts":0,"dur":@,"args":{"id":@,"parent":@}},"#,
+        r#"{"ph":"X","cat":"dp","name":@,"ts":1,"dur":@,"args":{"id":@,"parent":@}}]}"#
+    );
+    const DEFAULTS: &[&str] = &[
+        r#""X""#, r#""serve""#, r#""request""#, "5", r#""1""#, r#""0""#, r#""dp.solve""#, "2",
+        r#""2""#, r#""1""#,
+    ];
+    (collection::vec((0u8..3, json_value()), DEFAULTS.len()), any::<bool>()).prop_map(
+        |(mut slots, self_parent)| {
+            if self_parent {
+                // Each event's `parent` slot takes its `id` slot's value.
+                for id in [4, 8] {
+                    let (keep, v) = slots[id];
+                    slots[id + 1] = (0, if keep > 0 { DEFAULTS[id] } else { v });
+                }
+            }
+            fill(TEMPLATE, DEFAULTS, &slots)
+        },
+    )
+}
+
+/// A span report either renders its summary or returns an error.
+fn check_spans(text: &str) -> Result<(), TestCaseError> {
+    if let Ok(out) = cmd_report_spans(text) {
+        prop_assert!(out.starts_with("span summary: "), "{}", out);
+    }
+    Ok(())
+}
+
 /// An accepted trace document is one the rest of the pipeline can take:
 /// its `schema` reads exactly 1, and validating and summarizing the
 /// trace never panic.
@@ -244,6 +283,16 @@ proptest! {
     #[test]
     fn request_decoder_is_total_over_protocol_shapes(line in request_shaped()) {
         check_request(&line)?;
+    }
+
+    #[test]
+    fn span_report_is_total_over_bytes(text in arbitrary_text(512)) {
+        check_spans(&text)?;
+    }
+
+    #[test]
+    fn span_report_is_total_over_span_file_shapes(text in spans_shaped()) {
+        check_spans(&text)?;
     }
 
     #[test]
@@ -301,4 +350,19 @@ fn long_lines_and_huge_inputs_are_handled() {
     // Times that overflow once scaled by the horizon are errors.
     assert!(FaultPlan::parse("crash:w1@1e308%", &["w1", "root"], f64::MAX).is_err());
     assert!(FaultPlan::parse("slow:w1:2@1e308%", &["w1", "root"], f64::MAX).is_err());
+}
+
+#[test]
+fn span_report_survives_self_parents_and_non_finite_durations() {
+    let doc = |dur: &str, parent: &str| {
+        format!(
+            r#"{{"traceEvents":[{{"ph":"X","cat":"c","name":"a","ts":0,"dur":{dur},"args":{{"id":"1","parent":{parent}}}}}]}}"#
+        )
+    };
+    let own = cmd_report_spans(&doc("5", r#""1""#)).unwrap();
+    assert!(own.starts_with("span summary: 1 spans, 1 names"), "{own}");
+    for dur in ["1e308", "1e309", "-1e309", "-5"] {
+        let _ = cmd_report_spans(&doc(dur, r#""1""#));
+        let _ = cmd_report_spans(&doc(dur, "1"));
+    }
 }

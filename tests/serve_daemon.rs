@@ -105,7 +105,7 @@ fn herd_of_identical_requests_computes_once_and_matches_direct_planning() {
 fn overload_is_shed_with_a_structured_response() {
     // max_inflight = 0 makes every planning request an admission
     // failure, deterministically.
-    let engine = Arc::new(Engine::new(EngineConfig { max_inflight: 0, ..Default::default() }));
+    let engine = Arc::new(Engine::new(EngineConfig { max_inflight: 0 }));
     let handle = serve(engine, "127.0.0.1:0").expect("bind");
     let mut client = Client::connect(handle.addr()).unwrap();
 
@@ -117,7 +117,7 @@ fn overload_is_shed_with_a_structured_response() {
         }
         other => panic!("expected a shed response, got {other:?}"),
     }
-    // Non-planning requests are never shed.
+    // Pings are never shed.
     let pong = client.call(&Request { id: "p".into(), body: RequestBody::Ping }).unwrap();
     assert!(matches!(pong.outcome, Outcome::Pong));
 
