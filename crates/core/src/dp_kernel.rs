@@ -30,6 +30,13 @@
 //! the candidate comparisons Algorithm 2's cell performs after its
 //! binary search, so values, choices and tie-breaks stay bit-identical.
 //!
+//! Both cells end in one shared downward scan ([`scan_down`]) over the
+//! candidates below the crossing, where the suffix dominates. Algorithm
+//! 2 stops it once `Tcomm(i,lo) + suffix` alone reaches the incumbent,
+//! which on a full plane can take hundreds of candidates; the shared
+//! scan also skips whole blocks of candidates whose lower bound reaches
+//! the incumbent, without changing which candidate wins.
+//!
 //! All three kernels write into one [`DpPlane`]: two flat buffers (an
 //! `f64` cost and a `u32` backtrack per cell) holding each column as a
 //! contiguous run of cells `(start, cells)`. A full plane holds every
@@ -300,7 +307,7 @@ pub(crate) fn optimized_cell(
     lim: usize,
 ) -> (f64, u32) {
     debug_assert!(lo <= lim && lim <= d);
-    let (mut sol, mut min);
+    let (sol, min);
     if comp[lo] >= prev[d - lo] {
         // Even the smallest candidate computes no sooner than the suffix:
         // the max is always Tcomp, so the best move is e = lo.
@@ -327,10 +334,47 @@ pub(crate) fn optimized_cell(
         sol = emax;
         min = comm[emax] + comp[emax];
     }
-    // Downward scan over the region where the suffix dominates.
+    scan_down(comm, prev, d, lo, sol, min)
+}
+
+/// Candidates [`scan_down`] evaluates one by one before it starts
+/// skipping blocks. Short scans (steep suffixes, as on the bench gate's
+/// compute-dominated p = 64 platform, ~2 candidates per cell) end here
+/// exactly as Algorithm 2's plain scan would, with no block test to pay.
+/// On Table 1's full plane a longer prefix only adds probes: the argmin
+/// sits within one step of the scan's start on average.
+const PLAIN_SCAN: usize = 4;
+
+/// Algorithm 2's downward scan over the candidates `lo..sol` below the
+/// crossing point, where each candidate is `Tcomm(i,e) + cost[d-e, i+1]`,
+/// starting from the incumbent `(min, sol)`. Requires `comm` and `prev`
+/// non-decreasing (the premise of Algorithm 2's early exit).
+///
+/// Candidates are visited top-down, and only a strictly smaller one
+/// replaces the incumbent, so value, choice and tie-break are those of
+/// the plain one-candidate-at-a-time scan with the exit
+/// `Tcomm(i,lo) + suffix >= min`. After the first [`PLAIN_SCAN`]
+/// candidates, the scan may also skip a whole block `a..e` of the
+/// remaining candidates at once: `comm[a] + prev[d-(e-1)]` is a lower
+/// bound on every candidate in it (both tables are non-decreasing and
+/// rounded addition is monotone), so when that bound reaches `min` none
+/// of them can be strictly smaller. Each skip doubles the block, each
+/// candidate evaluated instead halves it. On full planes the exit must
+/// wait for the suffix alone to reach `min`: on Table 1 at n = 200,000
+/// that is ~365 candidates per cell, which the blocks cut to ~12 probes.
+#[inline(always)]
+fn scan_down(
+    comm: &[f64],
+    prev: &[f64],
+    d: usize,
+    lo: usize,
+    mut sol: usize,
+    mut min: f64,
+) -> (f64, u32) {
     let floor = comm[lo];
     let mut e = sol;
-    while e > lo {
+    let plain_end = sol.saturating_sub(PLAIN_SCAN).max(lo);
+    while e > plain_end {
         e -= 1;
         let suffix = prev[d - e];
         let m = comm[e] + suffix;
@@ -338,7 +382,28 @@ pub(crate) fn optimized_cell(
             sol = e;
             min = m;
         } else if floor + suffix >= min {
+            return (min, sol as u32);
+        }
+    }
+    let mut block = 2;
+    while e > lo {
+        // `suffix` is the smallest suffix of every candidate left.
+        let suffix = prev[d - (e - 1)];
+        if floor + suffix >= min {
             break;
+        }
+        let a = e.saturating_sub(block).max(lo);
+        if comm[a] + suffix >= min {
+            e = a;
+            block *= 2;
+        } else {
+            e -= 1;
+            let m = comm[e] + suffix;
+            if m < min {
+                sol = e;
+                min = m;
+            }
+            block = (block / 2).max(2);
         }
     }
     (min, sol as u32)
@@ -367,10 +432,12 @@ pub(crate) fn crossing(comp: &[f64], prev: &[f64], d: usize, lo: usize, hi: usiz
 /// (`c > d` encodes "no crossing"). Performs exactly the comparisons
 /// [`optimized_cell`] performs over the full window `0..=d` once its
 /// binary search has located `c`, so the result — value, choice and
-/// tie-break — is bit-identical to Algorithm 2's cell.
-#[inline]
+/// tie-break — is bit-identical to Algorithm 2's cell. Always inlined:
+/// it is the body of [`dc_leaf`]'s hot loop, whose slice hints only pay
+/// off when the scan is compiled into it.
+#[inline(always)]
 pub(crate) fn dc_cell(comm: &[f64], comp: &[f64], prev: &[f64], d: usize, c: usize) -> (f64, u32) {
-    let (mut sol, mut min);
+    let (sol, min);
     if c > d {
         // The suffix dominates even at the largest candidate.
         sol = d;
@@ -379,21 +446,7 @@ pub(crate) fn dc_cell(comm: &[f64], comp: &[f64], prev: &[f64], d: usize, c: usi
         sol = c;
         min = comm[c] + comp[c];
     }
-    // Downward scan over the region where the suffix dominates, with
-    // Algorithm 2's early exit (adding `Tcomm >= 0` cannot help).
-    let mut e = sol;
-    while e > 0 {
-        e -= 1;
-        let suffix = prev[d - e];
-        let m = comm[e] + suffix;
-        if m < min {
-            sol = e;
-            min = m;
-        } else if suffix >= min {
-            break;
-        }
-    }
-    (min, sol as u32)
+    scan_down(comm, prev, d, 0, sol, min)
 }
 
 /// Fills the cells `start .. start + cost.len()` of one column by
@@ -523,30 +576,9 @@ fn dc_leaf(
             // mispredicting branch.
             c += usize::from(comp[c] < prev[d - c]);
         }
-        // The cell, fused inline (same comparisons in the same order as
-        // [`dc_cell`], so values/choices/tie-breaks stay bit-identical).
-        let (mut sol, mut min);
-        if c > d {
-            sol = d;
-            min = comm[d] + prev[0];
-        } else {
-            sol = c;
-            min = comm[c] + comp[c];
-        }
-        let mut e = sol;
-        while e > 0 {
-            e -= 1;
-            let suffix = prev[d - e];
-            let m = comm[e] + suffix;
-            if m < min {
-                sol = e;
-                min = m;
-            } else if suffix >= min {
-                break;
-            }
-        }
-        cost[d - base] = min;
-        choice[d - base] = sol as u32;
+        let (v, e) = dc_cell(comm, comp, prev, d, c);
+        cost[d - base] = v;
+        choice[d - base] = e;
     }
 }
 
@@ -704,5 +736,97 @@ mod tests {
         assert_eq!(v, 1.0);
         // comp[0] >= prev[2] holds, so the first branch fires with e = 0.
         assert_eq!(e, 0);
+    }
+
+    /// Algorithm 2's plain downward scan, one candidate per step with the
+    /// exit `Tcomm(i,lo) + suffix >= min`: the reference [`scan_down`]
+    /// must reproduce bit for bit. Also returns the candidates it visited.
+    fn one_step_scan(
+        comm: &[f64],
+        prev: &[f64],
+        d: usize,
+        lo: usize,
+        mut sol: usize,
+        mut min: f64,
+    ) -> (f64, u32, usize) {
+        let floor = comm[lo];
+        let start = sol;
+        let mut e = sol;
+        while e > lo {
+            e -= 1;
+            let suffix = prev[d - e];
+            let m = comm[e] + suffix;
+            if m < min {
+                sol = e;
+                min = m;
+            } else if floor + suffix >= min {
+                break;
+            }
+        }
+        (min, sol as u32, start - e)
+    }
+
+    /// A xorshift draw in `0..m` (the tests need no RNG dependency).
+    fn draw(state: &mut u64, m: u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state % m
+    }
+
+    /// `len` integer values, non-decreasing by steps in `0..=step`, one in
+    /// `zero_in` (on average) held flat: plateaus give exact ties.
+    fn ramp(state: &mut u64, len: usize, step: u64, zero_in: u64) -> Vec<f64> {
+        let mut v = draw(state, 5) as f64;
+        (0..len)
+            .map(|_| {
+                if draw(state, zero_in) != 0 {
+                    v += draw(state, step + 1) as f64;
+                }
+                v
+            })
+            .collect()
+    }
+
+    #[test]
+    fn block_scan_is_bit_identical_to_the_one_step_scan() {
+        let rng = &mut 0x2545f4914f6cdd1du64;
+        let (mut long, mut cases) = (0usize, 0usize);
+        while cases < 120_000 {
+            let span = if draw(rng, 2) == 0 { 2_000 } else { 200 };
+            let len = 1 + draw(rng, span) as usize;
+            let d = len - 1;
+            // A `comm` growing slower than `prev` gives long scans.
+            let steep = if draw(rng, 2) == 0 { 4 } else { 40 };
+            let (comm_step, prev_step) = (1 + draw(rng, 3), 1 + draw(rng, steep));
+            let zeros = 1 + draw(rng, 4);
+            let comm = ramp(rng, len, comm_step, zeros);
+            let zeros = 1 + draw(rng, 4);
+            let mut prev = ramp(rng, len, prev_step, zeros);
+            if draw(rng, 4) == 0 {
+                let tail = draw(rng, len as u64 + 1) as usize;
+                prev[tail..].fill(f64::INFINITY);
+            }
+            let lo = if draw(rng, 2) == 0 { 0 } else { draw(rng, len as u64) as usize };
+            let sol = lo + draw(rng, (d - lo) as u64 + 1) as usize;
+            // The incumbent: the scan's real start, a tie with some block
+            // bound `comm[a] + prev[d - b]`, or nothing to beat.
+            let (a, b) = (draw(rng, len as u64) as usize, draw(rng, len as u64) as usize);
+            let min = match draw(rng, 4) {
+                0 => comm[sol] + prev[d - sol],
+                1 | 2 => comm[a.min(b)] + prev[d - a.max(b)],
+                _ => f64::INFINITY,
+            };
+            let (want, want_e, visited) = one_step_scan(&comm, &prev, d, lo, sol, min);
+            let (got, got_e) = scan_down(&comm, &prev, d, lo, sol, min);
+            assert_eq!(
+                (got.to_bits(), got_e),
+                (want.to_bits(), want_e),
+                "case {cases}: d={d} lo={lo} sol={sol} min={min}"
+            );
+            long += usize::from(visited > 2 * PLAIN_SCAN);
+            cases += 1;
+        }
+        assert!(long > cases / 20, "only {long} of {cases} scans outran the plain prefix");
     }
 }
