@@ -4,8 +4,11 @@
 
 use std::time::Instant;
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
 use gs_scatter::closed_form::closed_form_distribution;
-use gs_scatter::cost::Platform;
+use gs_scatter::cost::{Platform, Processor};
 use gs_scatter::cost_table::CostTable;
 use gs_scatter::heuristic::heuristic_distribution;
 use gs_scatter::ordering::{scatter_order, OrderPolicy};
@@ -178,6 +181,28 @@ pub fn dp_perf_platform(p: usize) -> Platform {
         })
         .collect();
     Platform::new(procs, 0).expect("synthetic platform")
+}
+
+/// A seeded random linear platform with decimal coefficients: `β` in
+/// [1e-6, 5e-5] at 9 decimals and `α` in [1e-3, 2e-2] at 7 decimals,
+/// root at index 0 with `β = 0`. Short decimals become 53-bit binary
+/// fractions with no small common denominator, so the exact closed
+/// form and heuristic carry rationals of thousands of bits at p = 128.
+/// `gs calibrate` writes coefficients of this shape or longer.
+pub fn decimal_platform(p: usize, seed: u64) -> Platform {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut decimal = |lo: f64, hi: f64, places: i32| {
+        let scale = 10f64.powi(places);
+        (rng.gen_range(lo..hi) * scale).round() / scale
+    };
+    let procs = (0..p)
+        .map(|i| {
+            let beta = decimal(1e-6, 5e-5, 9);
+            let alpha = decimal(1e-3, 2e-2, 7);
+            Processor::linear(format!("d{i}"), if i == 0 { 0.0 } else { beta }, alpha)
+        })
+        .collect();
+    Platform::new(procs, 0).expect("decimal platform")
 }
 
 /// Times the engine variants on [`dp_perf_platform`] platforms.

@@ -18,17 +18,19 @@
 //!   thread count.
 //! * **The band** (Algorithms 2 and D&C; on by default through the
 //!   planner). The solve is seeded with the makespan of a feasible
-//!   distribution — the §4 closed form for linear costs, its slopes-only
-//!   variant for affine costs — and each column is computed only over
-//!   the cells a plan within that bound can use: from the item count the
-//!   processors before it cannot exceed by the bound, up to the first
-//!   cell whose value exceeds it. On Table 1 at the paper's `n` that is
-//!   1.2 MB of a 157 MB plane. The bound is inflated by one part in 10⁹
-//!   so floating-point summation-order noise can never exclude the
-//!   optimal path; if the band were ever inconsistent anyway, the engine
-//!   redoes the solve on the full plane rather than return a wrong
-//!   answer. The `Band` type documents why the answer stays
-//!   bit-identical.
+//!   distribution, and each column is computed only over the cells a
+//!   plan within that bound can use: from the item count the processors
+//!   before it cannot exceed by the bound, up to the first cell whose
+//!   value exceeds it. On Table 1 at the paper's `n` that is 1.2 MB of a
+//!   157 MB plane. Feasibility is all the band needs from its seed, so
+//!   the seed is the §4 closed form over the costs' slopes computed in
+//!   `f64`, rounded and evaluated with the true costs: no exact
+//!   arithmetic, and no dependence on the closed-form strategy. The
+//!   bound is inflated by one part in 10⁹ so floating-point
+//!   summation-order noise can never exclude the optimal path; if the
+//!   band were ever inconsistent anyway, the engine redoes the solve on
+//!   the full plane rather than return a wrong answer. The `Band` type
+//!   documents why the answer stays bit-identical.
 //! * **Tabulation caching.** Cost tables come from a [`CostTable`], so
 //!   repeated solves (and repeated processors within one platform)
 //!   evaluate each cost function once.
@@ -42,6 +44,7 @@ use std::time::Instant;
 
 use crate::cost::Processor;
 use crate::cost_table::CostTable;
+use crate::distribution;
 use crate::dp_kernel::{self, DpPlane, MAX_ITEMS};
 use crate::error::PlanError;
 use crate::metrics::{Counter, Histogram, Registry};
@@ -522,41 +525,102 @@ fn warm_plane(w: WarmStart, p: usize, n: usize) -> DpPlane {
     plane
 }
 
-/// A feasible (hence upper-bounding) makespan for pruning: the closed
-/// form's rounded distribution when every cost is linear or affine, else
-/// `None` (no pruning).
+/// A feasible (hence upper-bounding) makespan for pruning, from `f64`
+/// arithmetic alone; `None` (no pruning) when some cost is not affine or
+/// some slope is negative or not finite.
 ///
-/// Affine platforms are seeded from the *slopes-only* closed form: any
-/// feasible distribution evaluated with the true affine costs
-/// upper-bounds the optimum, and the closed form never needs more than
-/// its O(p) rational operations, whereas the exact LP heuristic falls
-/// back to the general simplex on intercept-heavy platforms (minutes at
-/// `p = 64` — far more than the pruning it buys). The bound loosens by
-/// at most the sum of the intercepts, which the pruning margin already
-/// absorbs on realistic platforms.
+/// The band needs only *a* feasible makespan, not a good answer: any
+/// integer distribution of the `n` items, evaluated with the true costs
+/// by [`distribution::makespan`], bounds the optimum from above. So
+/// neither floating-point error nor the rounding rule can change what a
+/// banded solve returns; they only move the bound, and with it the
+/// band's width. The distribution is Theorem 1's over the costs'
+/// slopes, rounded by [`seed_counts`]. On affine platforms the
+/// intercepts are left out of the shares, which loosens the bound by at
+/// most their sum; the pruning margin absorbs that on realistic
+/// platforms. The exact rational closed form, the seed before, took
+/// ~40% of a banded Table-1 solve; the exact LP heuristic falls back to
+/// the general simplex on intercept-heavy platforms (minutes at
+/// `p = 64`).
 fn upper_bound(procs: &[&Processor], n: usize) -> Option<f64> {
-    let linear =
-        procs.iter().all(|p| p.comm.linear_slope().is_some() && p.comp.linear_slope().is_some());
-    if linear {
-        let sol = crate::closed_form::closed_form_distribution(procs, n).ok()?;
-        return Some(crate::distribution::makespan(procs, &sol.counts));
+    let slopes = affine_slopes(procs)?;
+    if slopes.iter().any(|&(b, a)| b < 0.0 || a < 0.0 || !(b + a).is_finite()) {
+        return None;
     }
-    let affine =
-        procs.iter().all(|p| p.comm.affine_params().is_some() && p.comp.affine_params().is_some());
-    if affine {
-        let linearized: Vec<Processor> = procs
-            .iter()
-            .map(|pr| {
-                let (_, beta) = pr.comm.affine_params().expect("checked affine");
-                let (_, alpha) = pr.comp.affine_params().expect("checked affine");
-                Processor::linear(pr.name.clone(), beta, alpha)
-            })
-            .collect();
-        let views: Vec<&Processor> = linearized.iter().collect();
-        let sol = crate::closed_form::closed_form_distribution(&views, n).ok()?;
-        return Some(crate::distribution::makespan(procs, &sol.counts));
+    let makespan = distribution::makespan(procs, &seed_counts(&slopes, n));
+    (!makespan.is_nan()).then_some(makespan)
+}
+
+/// The `(β, α)` slopes of every processor's (comm, comp) costs, `None`
+/// when some cost is not affine.
+fn affine_slopes(procs: &[&Processor]) -> Option<Vec<(f64, f64)>> {
+    procs.iter().map(|pr| Some((pr.comm.affine_params()?.1, pr.comp.affine_params()?.1))).collect()
+}
+
+/// Integer counts of `n` items over at least one processor with
+/// non-negative finite slopes `(β, α)`, in scatter order: the §4 closed
+/// form in `f64`.
+///
+/// Theorem 2's backward [`participant_scan`] picks the participants and
+/// `1/D`; the participants all finish at `t = n·D`, so a forward
+/// triangular pass gives each one `x_i = (t − Σ_{j<i} β_j x_j)/(β_i + α_i)`.
+/// The running sum of the shares, scaled to `n`, is then floored: every
+/// count lies within one item of its share, and the counts sum to `n`.
+/// As in the exact closed form, a processor with `α + β = 0` takes every
+/// item.
+fn seed_counts(slopes: &[(f64, f64)], n: usize) -> Vec<usize> {
+    let mut counts = vec![0usize; slopes.len()];
+    if let Some(free) = slopes.iter().position(|&(beta, alpha)| beta + alpha == 0.0) {
+        counts[free] = n;
+        return counts;
     }
-    None
+    let mut joins = vec![false; slopes.len()];
+    let t = n as f64 / participant_scan(slopes, |k| joins[k] = true);
+    let mut sent = 0.0;
+    let shares: Vec<f64> = slopes
+        .iter()
+        .zip(&joins)
+        .map(|(&(beta, alpha), &joins)| {
+            if !joins {
+                return 0.0;
+            }
+            let x = ((t - sent) / (beta + alpha)).max(0.0);
+            sent += beta * x;
+            x
+        })
+        .collect();
+    let total: f64 = shares.iter().sum();
+    let scale = if total > 0.0 { n as f64 / total } else { 0.0 };
+    let (mut running, mut before) = (0.0, 0usize);
+    for (count, x) in counts.iter_mut().zip(&shares) {
+        running += x * scale;
+        let upto = (running.floor() as usize).clamp(before, n);
+        *count = upto - before;
+        before = upto;
+    }
+    *counts.last_mut().expect("at least one processor") += n - before;
+    counts
+}
+
+/// Theorem 2's backward participant scan over `(β, α)` slopes, in `f64`.
+///
+/// From the last processor to the first, processor `k` participates iff
+/// `β_k · S < 1`, where `S` is `1/D` of the participating suffix after
+/// it. A participant adds `y_k = (1 − β_k S)/(β_k + α_k)` to `S`, giving
+/// `(1 + α_k S)/(α_k + β_k)`: Theorem 1's suffix recurrence for `1/D`.
+/// The `y_k` are also the shared-port dual point of [`Band`]. Calls `join(k)` for each participant and returns
+/// `S` over all of `slopes` (`+inf` when a participant has
+/// `α + β = 0`).
+fn participant_scan(slopes: &[(f64, f64)], mut join: impl FnMut(usize)) -> f64 {
+    let mut inv_d = 0.0f64;
+    for (k, &(beta, alpha)) in slopes.iter().enumerate().rev() {
+        let need = 1.0 - beta * inv_d;
+        if need > 0.0 {
+            inv_d += need / (beta + alpha);
+            join(k);
+        }
+    }
+    inv_d
 }
 
 /// The cells of the DP plane a plan within `bound` can use.
@@ -590,8 +654,12 @@ fn upper_bound(procs: &[&Processor], n: usize) -> Option<f64> {
 /// above the bound or leads outside the band — so no optimal choice is
 /// dropped, the argmin and its tie-break are unchanged, and the banded
 /// answer is bit-identical to the full plane's (property-tested).
+///
+/// None of this asks more of the bound than that some plan meets it, so
+/// the `f64` seed of [`upper_bound`] serves: a looser bound only widens
+/// the band.
 struct Band {
-    /// The inflated pruning bound.
+    /// The inflated pruning bound: a feasible plan's makespan.
     bound: f64,
     /// First live cell of each column (`lo[0] = n`: the top column only
     /// ever needs cell `n`).
@@ -623,10 +691,11 @@ impl Band {
                 a.checked_sub(1)
             })
             .collect();
+        let slopes = affine_slopes(procs).expect("the band runs on affine costs");
         let mut lo = Vec::with_capacity(procs.len());
         let mut before = 0usize;
         for (i, c) in cap.iter().enumerate() {
-            let port = port_capacity(&procs[..i], bound).map_or(usize::MAX, |c| c as usize);
+            let port = port_capacity(&slopes[..i], bound).map_or(usize::MAX, |c| c as usize);
             lo.push(n - before.min(port).min(n));
             before = before.saturating_add(c.unwrap_or(0));
         }
@@ -659,24 +728,12 @@ fn tabulate(table: &CostTable, procs: &[&Processor], last: usize) -> (Vec<TabPai
         .unzip()
 }
 
-/// Upper bound on the items processors `0..i` (a prefix of the scatter
-/// order) can finish by `bound`, from the shared-port LP's dual (see
-/// [`Band`]); `None` when some cost is not affine or the dual has no
-/// finite point.
-fn port_capacity(procs: &[&Processor], bound: f64) -> Option<f64> {
-    let mut y_sum = 0.0f64;
-    for pr in procs.iter().rev() {
-        let (_, beta) = pr.comm.affine_params()?;
-        let (_, alpha) = pr.comp.affine_params()?;
-        let need = 1.0 - beta * y_sum;
-        if need > 0.0 {
-            if beta + alpha <= 0.0 {
-                return None;
-            }
-            y_sum += need / (beta + alpha);
-        }
-    }
-    let cap = bound * y_sum * (1.0 + BOUND_MARGIN);
+/// Upper bound on the items the processors of `slopes` (a prefix of the
+/// scatter order) can finish by `bound`, from the shared-port LP's dual
+/// (see [`Band`]): `bound · Σ y` by [`participant_scan`]. `None` when
+/// the dual has no finite point.
+fn port_capacity(slopes: &[(f64, f64)], bound: f64) -> Option<f64> {
+    let cap = bound * participant_scan(slopes, |_| ()) * (1.0 + BOUND_MARGIN);
     cap.is_finite().then_some(cap)
 }
 
@@ -1303,6 +1360,59 @@ pub(crate) mod tests {
             let opts = ParallelOpts { threads: 2, prune: true, chunk: 4 };
             let pruned = solve_with(Optimized, &v, n, &opts).unwrap();
             assert_bit_identical(&pruned, &serial, &format!("n={n}"));
+        }
+    }
+
+    /// The `f64` seed on the platforms where a closed form degenerates:
+    /// a free processor (α = β = 0, for which the closed form gives a
+    /// zero bound), a non-participant (β above `D` of its suffix), an
+    /// intercept-heavy affine platform, and n ∈ {0, 1}. The seed must be
+    /// finite and at least the optimum, and the band must answer (no
+    /// fallback, which is what `dp_band_fallback_total` counts) with the
+    /// full plane's bits.
+    #[test]
+    fn f64_seed_bounds_degenerate_platforms() {
+        let platforms = [
+            vec![
+                Processor::linear("a", 0.5, 2.0),
+                Processor::linear("free", 0.0, 0.0),
+                Processor::linear("root", 0.0, 3.0),
+            ],
+            vec![
+                Processor::linear("slow link", 10.0, 0.1),
+                Processor::linear("b", 0.1, 1.0),
+                Processor::linear("root", 0.0, 1.0),
+            ],
+            vec![
+                Processor::affine("a", 50.0, 0.1, 80.0, 1.0),
+                Processor::affine("b", 30.0, 0.2, 20.0, 0.5),
+                Processor::affine("c", 5.0, 0.3, 400.0, 0.2),
+                Processor::affine("root", 0.0, 0.0, 100.0, 2.0),
+            ],
+        ];
+        // The slow link's β = 10 exceeds D = 1/(2/1.1) = 0.55 of its suffix.
+        let slopes = affine_slopes(&view(&platforms[1])).unwrap();
+        let mut joins = vec![];
+        participant_scan(&slopes, |k| joins.push(k));
+        assert_eq!(joins, [2, 1], "the slow link does not participate");
+        assert_eq!(seed_counts(&slopes, 1000)[0], 0);
+        assert_eq!(seed_counts(&affine_slopes(&view(&platforms[0])).unwrap(), 9), [0, 9, 0]);
+
+        for (k, ps) in platforms.iter().enumerate() {
+            let v = view(ps);
+            for n in [0usize, 1, 2, 7, 100, 1000] {
+                let full = serial_solve(Optimized, &v, n).unwrap();
+                let seed = upper_bound(&v, n).expect("affine platforms are seeded");
+                assert!(seed.is_finite(), "platform {k}, n = {n}: seed {seed}");
+                assert!(seed * (1.0 + BOUND_MARGIN) >= full.makespan, "platform {k}, n = {n}");
+                for kernel in [Optimized, Dc] {
+                    let opts = ParallelOpts { threads: 1, prune: true, chunk: 0 };
+                    let (sol, timing) = solve(kernel, &CostTable::new(), &v, n, &opts).unwrap();
+                    let what = format!("platform {k}, {kernel:?}, n = {n}");
+                    assert!(timing.pruned, "{what}: the band answered");
+                    assert_bit_identical(&sol, &full, &what);
+                }
+            }
         }
     }
 

@@ -68,13 +68,7 @@ impl BigUint {
 
     /// Number of significant bits (`0` for zero).
     pub fn bits(&self) -> u64 {
-        match self.limbs.last() {
-            None => 0,
-            Some(&top) => {
-                (self.limbs.len() as u64 - 1) * LIMB_BITS as u64
-                    + (LIMB_BITS - top.leading_zeros()) as u64
-            }
-        }
+        limbs_bits(&self.limbs)
     }
 
     /// Converts to `u64`, or `None` if the value does not fit.
@@ -278,55 +272,50 @@ impl BigUint {
         (BigUint::from_limbs(q), rem)
     }
 
-    /// Greatest common divisor (binary GCD).
+    /// Greatest common divisor, by Lehmer's algorithm (Knuth, TAOCP
+    /// §4.5.2, Algorithm L). `gcd(0, x) == x`.
     ///
-    /// Works on two owned limb buffers, subtracting and shifting in
-    /// place: a binary step allocates nothing. While one operand is more
-    /// than a limb longer than the other, a Euclid step (`a mod b`, one
-    /// allocation) replaces the many binary steps it would take to bring
-    /// them level. Once both operands fit a `u64` the rest runs on
+    /// Works on two owned limb buffers `a >= b`. Each step runs Euclid on
+    /// machine words: the top [`LEHMER_BITS`] bits of `a` and the bits of
+    /// `b` at the same position. It keeps going while Knuth's two-sided
+    /// quotient test proves each word quotient equal to the full
+    /// operands' quotient, and accumulates the steps in a 2×2 cofactor
+    /// matrix. One pass over the limbs then applies that matrix to both
+    /// buffers in place, so a step allocates nothing. When not even the
+    /// first quotient can be proven (the operands differ in length by a
+    /// limb or more, or the quotient is huge), one full Euclid step
+    /// (`a mod b`) runs instead. Once `a` fits a `u64` the rest runs on
     /// machine words.
+    ///
+    /// A matrix step retires ~30 bits of both operands (half the word; the
+    /// quotient test stops once the word remainders drop to about the
+    /// cofactors' size), where a binary GCD retires about one bit per
+    /// pass over the limbs: on the coprime ~900-bit pairs of the Table-1
+    /// closed form that is ~30 passes instead of ~900.
     pub fn gcd(&self, other: &BigUint) -> BigUint {
-        if self.is_zero() {
-            return other.clone();
+        let (big, small) = if self >= other { (self, other) } else { (other, self) };
+        if small.is_one() {
+            return BigUint::one();
         }
-        if other.is_zero() {
-            return self.clone();
-        }
-        let az = self.trailing_zeros();
-        let bz = other.trailing_zeros();
-        let mut a = self.limbs.clone();
-        let mut b = other.limbs.clone();
-        shr_limbs_in_place(&mut a, az);
-        shr_limbs_in_place(&mut b, bz);
-        // Both odd from here on.
-        loop {
-            if a.len() <= 2 && b.len() <= 2 {
-                let g = gcd_u64(limbs_to_u64(&a), limbs_to_u64(&b));
-                return BigUint::from(g) << az.min(bz);
+        let mut a = big.limbs.clone();
+        let mut b = Vec::with_capacity(a.len());
+        b.extend_from_slice(&small.limbs);
+        while !b.is_empty() {
+            if a.len() <= 2 {
+                return BigUint::from(gcd_u64(limbs_to_u64(&a), limbs_to_u64(&b)));
             }
-            match cmp_limbs(&a, &b) {
-                Ordering::Equal => break,
-                Ordering::Less => std::mem::swap(&mut a, &mut b),
-                Ordering::Greater => {}
-            }
-            if a.len() > b.len() + 1 {
-                // Operands of very different sizes: one Euclid step
-                // replaces a bit-at-a-time walk down to `b`'s size.
-                let b_big = BigUint { limbs: b };
-                a = BigUint { limbs: std::mem::take(&mut a) }.divrem(&b_big).1.limbs;
-                b = b_big.limbs;
-                if a.is_empty() {
-                    a = b;
-                    break;
+            let shift = limbs_bits(&a) - LEHMER_BITS as u64;
+            match lehmer_cofactors(bits_at(&a, shift), bits_at(&b, shift)) {
+                Some(m) => apply_cofactors(&mut a, &mut b, m),
+                None => {
+                    // (a, b) <- (b, a mod b).
+                    let big_b = BigUint { limbs: std::mem::take(&mut b) };
+                    b = BigUint { limbs: std::mem::take(&mut a) }.divrem(&big_b).1.limbs;
+                    a = big_b.limbs;
                 }
-            } else {
-                sub_limbs_in_place(&mut a, &b);
             }
-            let z = limbs_trailing_zeros(&a);
-            shr_limbs_in_place(&mut a, z);
         }
-        BigUint::from_limbs(a) << az.min(bz)
+        BigUint::from_limbs(a)
     }
 
     /// Number of trailing zero bits (`0` for zero).
@@ -381,49 +370,13 @@ fn slice_lt(slice: &[u32], b: &BigUint) -> bool {
     false
 }
 
-/// Compares two normalized little-endian limb buffers.
-fn cmp_limbs(a: &[u32], b: &[u32]) -> Ordering {
-    a.len().cmp(&b.len()).then_with(|| a.iter().rev().cmp(b.iter().rev()))
-}
-
-/// `a -= b` on normalized limb buffers (`a >= b`), trimming the
-/// trailing zero limbs the subtraction leaves.
-fn sub_limbs_in_place(a: &mut Vec<u32>, b: &[u32]) {
-    let mut borrow = false;
-    for (i, limb) in a.iter_mut().enumerate() {
-        let (d, o1) = limb.overflowing_sub(b.get(i).copied().unwrap_or(0));
-        let (d, o2) = d.overflowing_sub(borrow as u32);
-        *limb = d;
-        borrow = o1 || o2;
-        if !borrow && i >= b.len() {
-            break;
+/// Significant bits of a normalized limb buffer (`0` when empty).
+fn limbs_bits(a: &[u32]) -> u64 {
+    match a.last() {
+        None => 0,
+        Some(&top) => {
+            (a.len() as u64 - 1) * LIMB_BITS as u64 + (LIMB_BITS - top.leading_zeros()) as u64
         }
-    }
-    debug_assert!(!borrow, "caller must guarantee a >= b");
-    while a.last() == Some(&0) {
-        a.pop();
-    }
-}
-
-/// Trailing zero bits of a non-zero limb buffer.
-fn limbs_trailing_zeros(a: &[u32]) -> u64 {
-    let i = a.iter().position(|&l| l != 0).expect("non-zero buffer");
-    i as u64 * LIMB_BITS as u64 + a[i].trailing_zeros() as u64
-}
-
-/// `a >>= bits` on a normalized limb buffer, in place.
-fn shr_limbs_in_place(a: &mut Vec<u32>, bits: u64) {
-    let limb_shift = ((bits / LIMB_BITS as u64) as usize).min(a.len());
-    a.drain(..limb_shift);
-    let bit_shift = (bits % LIMB_BITS as u64) as u32;
-    if bit_shift != 0 {
-        for i in 0..a.len() {
-            let hi = a.get(i + 1).map_or(0, |&h| h << (LIMB_BITS - bit_shift));
-            a[i] = (a[i] >> bit_shift) | hi;
-        }
-    }
-    while a.last() == Some(&0) {
-        a.pop();
     }
 }
 
@@ -432,16 +385,86 @@ fn limbs_to_u64(a: &[u32]) -> u64 {
     a.iter().rev().fold(0, |acc, &l| acc << LIMB_BITS | l as u64)
 }
 
-/// Binary GCD of two odd machine words.
+/// Binary GCD of two machine words (`gcd(0, x) == x`).
 fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
-    while a != b {
-        if a < b {
+    if a == 0 || b == 0 {
+        return a | b;
+    }
+    let twos = (a | b).trailing_zeros();
+    a >>= a.trailing_zeros();
+    loop {
+        b >>= b.trailing_zeros();
+        if a > b {
             std::mem::swap(&mut a, &mut b);
         }
-        a -= b;
-        a >>= a.trailing_zeros();
+        b -= a;
+        if b == 0 {
+            return a << twos;
+        }
     }
-    a
+}
+
+/// Width of the leading word Lehmer's algorithm runs Euclid on. Two bits
+/// below 64 keep every cofactor, and `x̂ + A`, inside an `i64`.
+const LEHMER_BITS: u32 = 62;
+
+/// The [`LEHMER_BITS`] bits of a limb buffer starting at bit `shift`
+/// (`(a >> shift) mod 2^LEHMER_BITS`, with missing limbs read as zero).
+fn bits_at(a: &[u32], shift: u64) -> u64 {
+    let i = (shift / LIMB_BITS as u64) as usize;
+    let window =
+        (0..3).rev().fold(0u128, |acc, k| acc << LIMB_BITS | *a.get(i + k).unwrap_or(&0) as u128);
+    (window >> (shift % LIMB_BITS as u64)) as u64 & ((1 << LEHMER_BITS) - 1)
+}
+
+/// Knuth's Algorithm L inner loop (TAOCP §4.5.2): Euclid on the leading
+/// words `x ≥ y` of two operands `u ≥ v`, for as long as both
+/// `⌊(x + A)/(y + C)⌋` and `⌊(x + B)/(y + D)⌋` agree. Those bracket the
+/// quotient of the full operands' current remainders, so every step
+/// taken is a step of the full Euclid sequence, and
+/// `(A·u + B·v, C·u + D·v)` is a later pair of consecutive remainders.
+/// Returns `[A, B, C, D]`, or `None` when not even one step was proven.
+///
+/// Every cofactor stays below `x < 2^LEHMER_BITS` in magnitude and
+/// `A, B` (like `C, D`) have opposite signs, so nothing here overflows.
+fn lehmer_cofactors(x: u64, y: u64) -> Option<[i64; 4]> {
+    let (mut x, mut y) = (x as i64, y as i64);
+    let (mut a, mut b, mut c, mut d) = (1i64, 0i64, 0i64, 1i64);
+    while y + c != 0 && y + d != 0 {
+        debug_assert!(x + a >= 0 && x + b >= 0 && y + c > 0 && y + d > 0);
+        let q = (x + a) / (y + c);
+        if q != (x + b) / (y + d) {
+            break;
+        }
+        (a, c) = (c, a - q * c);
+        (b, d) = (d, b - q * d);
+        (x, y) = (y, x - q * y);
+    }
+    (b != 0).then_some([a, b, c, d])
+}
+
+/// `(a, b) <- (A·a + B·b, C·a + D·b)` in one pass over the limbs, in
+/// place. The caller guarantees both results are non-negative (they are
+/// remainders of the Euclid sequence, so also no longer than `a`).
+fn apply_cofactors(a: &mut Vec<u32>, b: &mut Vec<u32>, [ma, mb, mc, md]: [i64; 4]) {
+    b.resize(a.len(), 0);
+    let (ma, mb, mc, md) = (ma as i128, mb as i128, mc as i128, md as i128);
+    let (mut ca, mut cb) = (0i128, 0i128);
+    for (x, y) in a.iter_mut().zip(b.iter_mut()) {
+        let (xi, yi) = (*x as i128, *y as i128);
+        ca += ma * xi + mb * yi;
+        cb += mc * xi + md * yi;
+        *x = ca as u32;
+        *y = cb as u32;
+        ca >>= LIMB_BITS;
+        cb >>= LIMB_BITS;
+    }
+    debug_assert!(ca == 0 && cb == 0, "cofactors must map remainders to remainders");
+    for v in [a, b] {
+        while v.last() == Some(&0) {
+            v.pop();
+        }
+    }
 }
 
 /// `slice -= b` in place; the caller guarantees no underflow.
@@ -740,9 +763,100 @@ impl FromStr for BigUint {
     }
 }
 
+/// The binary GCD `BigUint::gcd` used before Lehmer's algorithm, kept as
+/// the oracle of the GCD property tests.
+#[cfg(test)]
+pub(crate) mod binary_gcd {
+    use super::{gcd_u64, limbs_to_u64, BigUint, LIMB_BITS};
+    use std::cmp::Ordering;
+
+    /// Binary GCD on two owned limb buffers, with a Euclid step while one
+    /// operand is more than a limb longer than the other.
+    pub(crate) fn gcd(x: &BigUint, y: &BigUint) -> BigUint {
+        if x.is_zero() {
+            return y.clone();
+        }
+        if y.is_zero() {
+            return x.clone();
+        }
+        let az = x.trailing_zeros();
+        let bz = y.trailing_zeros();
+        let mut a = x.limbs.clone();
+        let mut b = y.limbs.clone();
+        shr_limbs_in_place(&mut a, az);
+        shr_limbs_in_place(&mut b, bz);
+        loop {
+            if a.len() <= 2 && b.len() <= 2 {
+                let g = gcd_u64(limbs_to_u64(&a), limbs_to_u64(&b));
+                return BigUint::from(g) << az.min(bz);
+            }
+            match cmp_limbs(&a, &b) {
+                Ordering::Equal => break,
+                Ordering::Less => std::mem::swap(&mut a, &mut b),
+                Ordering::Greater => {}
+            }
+            if a.len() > b.len() + 1 {
+                let b_big = BigUint { limbs: b };
+                a = BigUint { limbs: std::mem::take(&mut a) }.divrem(&b_big).1.limbs;
+                b = b_big.limbs;
+                if a.is_empty() {
+                    a = b;
+                    break;
+                }
+            } else {
+                sub_limbs_in_place(&mut a, &b);
+            }
+            let z = limbs_trailing_zeros(&a);
+            shr_limbs_in_place(&mut a, z);
+        }
+        BigUint::from_limbs(a) << az.min(bz)
+    }
+
+    fn cmp_limbs(a: &[u32], b: &[u32]) -> Ordering {
+        a.len().cmp(&b.len()).then_with(|| a.iter().rev().cmp(b.iter().rev()))
+    }
+
+    fn sub_limbs_in_place(a: &mut Vec<u32>, b: &[u32]) {
+        let mut borrow = false;
+        for (i, limb) in a.iter_mut().enumerate() {
+            let (d, o1) = limb.overflowing_sub(b.get(i).copied().unwrap_or(0));
+            let (d, o2) = d.overflowing_sub(borrow as u32);
+            *limb = d;
+            borrow = o1 || o2;
+            if !borrow && i >= b.len() {
+                break;
+            }
+        }
+        while a.last() == Some(&0) {
+            a.pop();
+        }
+    }
+
+    fn limbs_trailing_zeros(a: &[u32]) -> u64 {
+        let i = a.iter().position(|&l| l != 0).expect("non-zero buffer");
+        i as u64 * LIMB_BITS as u64 + a[i].trailing_zeros() as u64
+    }
+
+    fn shr_limbs_in_place(a: &mut Vec<u32>, bits: u64) {
+        let limb_shift = ((bits / LIMB_BITS as u64) as usize).min(a.len());
+        a.drain(..limb_shift);
+        let bit_shift = (bits % LIMB_BITS as u64) as u32;
+        if bit_shift != 0 {
+            for i in 0..a.len() {
+                let hi = a.get(i + 1).map_or(0, |&h| h << (LIMB_BITS - bit_shift));
+                a[i] = (a[i] >> bit_shift) | hi;
+            }
+        }
+        while a.last() == Some(&0) {
+            a.pop();
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn big(v: u128) -> BigUint {
         BigUint::from(v)
@@ -876,6 +990,83 @@ mod tests {
         assert_eq!(g, x);
         assert_eq!((&a).rem(&g), BigUint::zero());
         assert_eq!((&b).rem(&g), BigUint::zero());
+    }
+
+    /// Consecutive Fibonacci numbers: every Euclid quotient is 1, the
+    /// longest run Lehmer's word loop can take.
+    #[test]
+    fn gcd_of_consecutive_fibonacci_numbers_is_one() {
+        let (mut a, mut b) = (BigUint::one(), BigUint::one());
+        for _ in 0..2000 {
+            let c = &a + &b;
+            a = std::mem::replace(&mut b, c);
+        }
+        assert!(b.bits() > 1300);
+        assert!(a.gcd(&b).is_one());
+        let g = BigUint::from_str("340282366920938463463374607431768211507").unwrap();
+        assert_eq!((&a * &g).gcd(&(&b * &g)), g);
+    }
+
+    /// A multi-limb quotient: no word quotient can be proven, so the
+    /// full Euclid step runs.
+    #[test]
+    fn gcd_with_a_huge_quotient() {
+        let b = BigUint::from(u128::MAX - 58); // prime-free shape is irrelevant
+        let a = &(&b * &(BigUint::one() << 300)) + &BigUint::from(12_345u32);
+        assert_eq!(a.gcd(&b), binary_gcd::gcd(&a, &b));
+        assert_eq!(b.gcd(&a), binary_gcd::gcd(&a, &b));
+    }
+
+    fn limbs(len: std::ops::RangeInclusive<usize>) -> impl Strategy<Value = BigUint> {
+        proptest::collection::vec(any::<u32>(), len).prop_map(BigUint::from_limbs)
+    }
+
+    /// `gcd` against the binary GCD, both argument orders.
+    fn check_gcd(a: &BigUint, b: &BigUint) -> Result<(), TestCaseError> {
+        let want = binary_gcd::gcd(a, b);
+        prop_assert_eq!(a.gcd(b), want.clone());
+        prop_assert_eq!(b.gcd(a), want);
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Multi-limb operands sharing a planted factor of up to 8 limbs.
+        #[test]
+        fn gcd_matches_binary_gcd_with_planted_factor(
+            g in limbs(1..=8), x in limbs(0..=30), y in limbs(0..=30),
+        ) {
+            check_gcd(&(&g * &x), &(&g * &y))?;
+        }
+
+        /// Operands more than one limb apart in length.
+        #[test]
+        fn gcd_matches_binary_gcd_across_length_gaps(
+            g in limbs(0..=3), x in limbs(6..=40), y in limbs(0..=4),
+        ) {
+            check_gcd(&(&g * &x), &(&g * &y))?;
+        }
+
+        /// Powers of two, alone and as shared or one-sided factors.
+        #[test]
+        fn gcd_matches_binary_gcd_on_powers_of_two(
+            x in limbs(0..=12), y in limbs(0..=12), s in 0u64..300, t in 0u64..300,
+        ) {
+            let (px, py) = (BigUint::one() << s, BigUint::one() << t);
+            check_gcd(&px, &py)?;
+            check_gcd(&(&x << s), &(&y << t))?;
+            check_gcd(&(&x << s), &py)?;
+        }
+
+        /// Zero and one against anything.
+        #[test]
+        fn gcd_of_zero_and_one(x in limbs(0..=20)) {
+            check_gcd(&BigUint::zero(), &x)?;
+            check_gcd(&BigUint::one(), &x)?;
+            prop_assert_eq!(BigUint::zero().gcd(&x), x.clone());
+            prop_assert_eq!(x.gcd(&x), x.clone());
+        }
     }
 
     #[test]

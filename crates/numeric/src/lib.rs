@@ -15,7 +15,10 @@
 //!   intermediates — no `unsafe`, no platform assumptions.
 //! * [`BigInt`] is a sign-magnitude wrapper with truncating division.
 //! * [`Rational`] is always kept normalized (`gcd(num, den) == 1`,
-//!   `den > 0`), so equality is structural and hashing is sound.
+//!   `den > 0`), so equality is structural and hashing is sound. That
+//!   makes the GCD the hot spot of every rational operation;
+//!   [`BigUint::gcd`] is Lehmer's algorithm, which retires ~30 bits per
+//!   pass over the limbs.
 //! * Every `f64` is a rational; [`Rational::from_f64`] converts exactly, so
 //!   measured cost-model coefficients can enter the LP without loss.
 //!

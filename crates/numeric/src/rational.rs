@@ -173,36 +173,35 @@ impl Rational {
         }
     }
 
+    /// `q + 1` when `up`, else `q`, signed like `self`: the result of
+    /// rounding `self` once `|num| = q·den + r` is known.
+    fn signed_step(&self, q: BigUint, up: bool) -> BigInt {
+        let q = if up { q + BigUint::one() } else { q };
+        BigInt::from_sign_mag(self.num.is_negative(), q)
+    }
+
     /// Largest integer `<= self`.
     pub fn floor(&self) -> BigInt {
-        let (q, r) = self.num.divrem(&BigInt::from(self.den.clone()));
-        if self.num.is_negative() && !r.is_zero() {
-            q - BigInt::one()
-        } else {
-            q
-        }
+        let (q, r) = self.num.magnitude().divrem(&self.den);
+        let up = self.num.is_negative() && !r.is_zero();
+        self.signed_step(q, up)
     }
 
     /// Smallest integer `>= self`.
     pub fn ceil(&self) -> BigInt {
-        let (q, r) = self.num.divrem(&BigInt::from(self.den.clone()));
-        if !self.num.is_negative() && !r.is_zero() {
-            q + BigInt::one()
-        } else {
-            q
-        }
+        let (q, r) = self.num.magnitude().divrem(&self.den);
+        let up = !self.num.is_negative() && !r.is_zero();
+        self.signed_step(q, up)
     }
 
     /// Nearest integer; exact halves round away from zero (the choice is
     /// irrelevant to the rounding scheme of RR-4770 §3.3, which only needs
     /// *a* nearest integer).
     pub fn round(&self) -> BigInt {
-        let two = Rational::from_int(2);
-        if self.is_negative() {
-            -((&self.abs() + &(Rational::one() / &two)).floor())
-        } else {
-            (self + &(Rational::one() / &two)).floor()
-        }
+        // |self| rounds up iff its fractional part r/den is >= 1/2.
+        let (q, r) = self.num.magnitude().divrem(&self.den);
+        let up = &r << 1 >= self.den;
+        self.signed_step(q, up)
     }
 
     /// Fractional distance to the nearest integer, in `[0, 1/2]`.
@@ -531,16 +530,44 @@ mod tests {
 
     #[test]
     fn floor_ceil_round() {
-        assert_eq!(r(7, 2).floor(), BigInt::from(3));
-        assert_eq!(r(7, 2).ceil(), BigInt::from(4));
-        assert_eq!(r(7, 2).round(), BigInt::from(4)); // half away from zero
-        assert_eq!(r(-7, 2).floor(), BigInt::from(-4));
-        assert_eq!(r(-7, 2).ceil(), BigInt::from(-3));
-        assert_eq!(r(-7, 2).round(), BigInt::from(-4));
-        assert_eq!(r(10, 5).floor(), BigInt::from(2));
-        assert_eq!(r(10, 5).ceil(), BigInt::from(2));
-        assert_eq!(r(1, 3).round(), BigInt::from(0));
-        assert_eq!(r(2, 3).round(), BigInt::from(1));
+        // (value, floor, ceil, round); exact halves round away from zero.
+        let cases = [
+            (r(7, 2), 3, 4, 4),
+            (r(-7, 2), -4, -3, -4),
+            (r(10, 5), 2, 2, 2),
+            (r(-10, 5), -2, -2, -2),
+            (r(1, 3), 0, 1, 0),
+            (r(2, 3), 0, 1, 1),
+            (r(-1, 3), -1, 0, 0),
+            (r(-2, 3), -1, 0, -1),
+            (r(1, 2), 0, 1, 1),
+            (r(-1, 2), -1, 0, -1),
+            (r(0, 1), 0, 0, 0),
+            (r(49, 100), 0, 1, 0),
+            (r(-51, 100), -1, 0, -1),
+        ];
+        for (v, fl, ce, rd) in cases {
+            assert_eq!(v.floor(), BigInt::from(fl), "floor {v}");
+            assert_eq!(v.ceil(), BigInt::from(ce), "ceil {v}");
+            assert_eq!(v.round(), BigInt::from(rd), "round {v}");
+        }
+        // Multi-limb: (2^200·k + h)/2^100 around the half h = 2^99.
+        let scale = BigUint::one() << 100;
+        let whole = BigInt::from(BigUint::one() << 100) * BigInt::from(7);
+        for (offset, fl, ce, rd) in [(-1i64, 7, 8, 7), (0, 7, 8, 8), (1, 7, 8, 8)] {
+            let num = &whole + &BigInt::from(BigUint::one() << 99) + BigInt::from(offset);
+            for neg in [false, true] {
+                let v = Rational::new(
+                    if neg { -num.clone() } else { num.clone() },
+                    BigInt::from(scale.clone()),
+                );
+                let sign = |x: i64| BigInt::from(if neg { -x } else { x });
+                let (fl, ce) = if neg { (-ce, -fl) } else { (fl, ce) };
+                assert_eq!(v.floor(), BigInt::from(fl), "floor {v}");
+                assert_eq!(v.ceil(), BigInt::from(ce), "ceil {v}");
+                assert_eq!(v.round(), sign(rd), "round {v}");
+            }
+        }
     }
 
     #[test]

@@ -84,7 +84,7 @@ proptest! {
         }
     }
 
-    /// The in-place binary GCD against Euclid's algorithm on multi-limb
+    /// `BigUint::gcd` (Lehmer) against Euclid's algorithm on multi-limb
     /// values that share a random factor and random powers of two.
     #[test]
     fn gcd_matches_euclid_multi_limb(
