@@ -46,9 +46,10 @@ fn bench_dc_dp(c: &mut Criterion) {
     }
 
     // Table 1 (dp_perf_platform(16)) on the full plane at n = 200,000:
-    // the long downward scans of every full-plane solve (solves through a
-    // `PlanCache`, band fallbacks), where the compute-dominated p = 64
-    // platform above scans only a few candidates per cell.
+    // the long downward scans of every full-plane solve (non-affine costs,
+    // band fallbacks, the `prune(false)` reference), where the
+    // compute-dominated p = 64 platform above scans only a few candidates
+    // per cell.
     let platform = dp_perf_platform(16);
     let order = scatter_order(&platform, OrderPolicy::DescendingBandwidth);
     let view = platform.ordered(&order);

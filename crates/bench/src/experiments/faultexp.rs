@@ -129,12 +129,14 @@ pub fn fault_sweep(n: usize, seeds: &[u64]) -> (Platform, Vec<FaultSweepRow>) {
 
 /// Times the residual exact-DP re-plan after losing the first-served
 /// worker, cold (fresh planner, no cache: a banded solve, how
-/// `scatter_schedule` re-plans) vs warm (a full-plane solve warm-started
-/// from a `PlanCache` primed by the original full plan, what
-/// `replan_residual_with` does when handed that cache). Dropping the first-served worker
-/// leaves the whole remaining scatter order as a suffix of the primed
-/// plane — the best case for column reuse, and the common one: the rank
-/// currently receiving data is the one whose crash forces a re-plan.
+/// `scatter_schedule` re-plans) vs warm (warm-started from a `PlanCache`
+/// primed by the original plan, what `replan_residual_with` does when
+/// handed that cache; the primed plane is banded at the single-crash
+/// bound, so the re-plan computes only its top cell). Dropping the
+/// first-served worker leaves the whole remaining scatter order as a
+/// suffix of the primed plane — the best case for column reuse, and the
+/// common one: the rank currently receiving data is the one whose crash
+/// forces a re-plan.
 ///
 /// Both plans are asserted bit-identical before the times are returned
 /// as `(cold_secs, warm_secs)`.

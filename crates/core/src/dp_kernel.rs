@@ -40,10 +40,13 @@
 //! All three kernels write into one [`DpPlane`]: two flat buffers (an
 //! `f64` cost and a `u32` backtrack per cell) holding each column as a
 //! contiguous run of cells `(start, cells)`. A full plane holds every
-//! cell `0..=n` of every column, and keeping it alive is what lets fault
-//! recovery warm-start a re-plan from the surviving suffix columns (see
-//! [`crate::planner::PlanCache`]); a banded plane holds only the cells
-//! the pruning bound leaves live.
+//! cell `0..=n` of every column; a banded plane holds only the cells the
+//! pruning bound leaves live, and records per column the bound it was
+//! computed under. Keeping either alive is what lets a re-plan
+//! warm-start from the surviving suffix columns (see
+//! [`crate::planner::PlanCache`]): a banded plane's reused columns are
+//! the first ones it appended, so a warm start truncates the buffers
+//! after them and keeps appending.
 
 /// The largest supported item count: counts are reconstructed through a
 /// `u32` choice table.
@@ -71,6 +74,9 @@ pub(crate) struct ColSpan {
     pub len: usize,
     /// Full plane only: the buffer position of the column's cell 0.
     base: usize,
+    /// The pruning bound the column was computed under (`+inf` on a
+    /// full plane).
+    pub bound: f64,
 }
 
 /// Storage of one DP solve: for each of the `p` columns, a contiguous
@@ -88,7 +94,9 @@ pub(crate) struct ColSpan {
 /// * a **banded** plane appends each column as the sweep reaches it,
 ///   holding just the band of cells that can lie on a plan within the
 ///   pruning bound (see [`crate::parallel`]). A column is opened with
-///   room for its widest possible band and trimmed once computed.
+///   room for its widest possible band and trimmed once computed. A
+///   warm start [`DpPlane::rebase`]s a cached banded plane by dropping
+///   every column appended after the reused ones.
 ///
 /// A full plane's buffers are **unspecified** until written: they come
 /// zero-allocated from the OS (lazily mapped pages, no up-front fill) or
@@ -124,32 +132,55 @@ impl DpPlane {
             },
             Err(_) => (vec![0.0; cells], vec![0; cells]),
         };
-        let cols =
-            (0..p).map(|i| ColSpan { start: 0, off: i * (n + 1), len: 0, base: i * (n + 1) }).collect();
+        let cols = (0..p)
+            .map(|i| ColSpan {
+                start: 0,
+                off: i * (n + 1),
+                len: 0,
+                base: i * (n + 1),
+                bound: f64::INFINITY,
+            })
+            .collect();
         DpPlane { n, p, banded: false, cost, choice, cols }
     }
 
-    /// This full plane, re-used in place for a solve over `p <= self.p`
-    /// processors and `n` items whose last `reuse` columns are this
-    /// plane's last `reuse` columns (each holding cells `0..=n`): those
-    /// columns keep their cells, the other `p - reuse` columns are
-    /// emptied for recomputation into the slots of the columns they
-    /// replace. No cell is copied and nothing is allocated.
+    /// This plane, re-used for a solve over `p` processors and `n` items
+    /// whose last `reuse` columns are this plane's last `reuse` columns:
+    /// those columns keep their cells, the other `p - reuse` columns are
+    /// emptied for recomputation. No cell is copied and nothing is
+    /// allocated.
+    ///
+    /// A full plane needs `p <= self.p`, and each reused column must hold
+    /// cells `0..=n`; the emptied columns take the slots of the columns
+    /// they replace. A banded plane's reused columns are the first
+    /// `reuse` it appended, so its buffers are truncated after them and
+    /// the new columns are appended from there.
     pub fn rebase(mut self, p: usize, n: usize, reuse: usize) -> DpPlane {
-        debug_assert!(!self.banded && p <= self.p && reuse <= p);
-        let shift = self.p - p;
-        let mut cols = self.cols[shift..].to_vec();
-        for (i, col) in cols.iter_mut().enumerate() {
-            if i < p - reuse {
-                *col = ColSpan { start: 0, off: col.base, len: 0, base: col.base };
-            } else {
-                debug_assert!(col.start == 0 && col.len > n, "reused columns hold 0..=n");
-                col.len = n + 1;
+        debug_assert!(reuse < p && reuse < self.p);
+        let kept = &self.cols[self.p - reuse..];
+        let cols = if self.banded {
+            let end = kept.first().map_or(0, |c| c.off + c.len);
+            self.cost.truncate(end);
+            self.choice.truncate(end);
+            let mut cols = vec![ColSpan::default(); p - reuse];
+            cols.extend_from_slice(kept);
+            cols
+        } else {
+            debug_assert!(p <= self.p);
+            let mut cols = self.cols[self.p - p..].to_vec();
+            for (i, col) in cols.iter_mut().enumerate() {
+                if i < p - reuse {
+                    *col = ColSpan { start: 0, off: col.base, len: 0, ..*col };
+                } else {
+                    debug_assert!(col.start == 0 && col.len > n, "reused columns hold 0..=n");
+                    col.len = n + 1;
+                }
             }
-        }
+            cols
+        };
         let cost = std::mem::take(&mut self.cost);
         let choice = std::mem::take(&mut self.choice);
-        DpPlane { n, p, banded: false, cost, choice, cols }
+        DpPlane { n, p, banded: self.banded, cost, choice, cols }
     }
 
     /// An empty banded plane: columns are appended by [`DpPlane::open`].
@@ -179,7 +210,18 @@ impl DpPlane {
         } else {
             base + start
         };
-        self.cols[i] = ColSpan { start, off, len, base };
+        self.cols[i] = ColSpan { start, off, len, base, bound: f64::INFINITY };
+    }
+
+    /// Records that column `i` was computed under the pruning bound
+    /// `bound`.
+    pub fn set_bound(&mut self, i: usize, bound: f64) {
+        self.cols[i].bound = bound;
+    }
+
+    /// Whether this is a banded plane.
+    pub fn is_banded(&self) -> bool {
+        self.banded
     }
 
     /// Shortens column `i` to its first `len` cells; a banded plane gives

@@ -19,9 +19,10 @@
 //!   processors (preserving their relative scatter order), via the
 //!   existing [`Planner`], so exact strategies solve cold inside the
 //!   band the pruning bound certifies. [`replan_residual_with`] adds an
-//!   optional [`PlanCache`]: exact strategies then solve on the full
-//!   plane and reuse the cached DP columns of the trailing survivors.
-//!   The result is *identical* either way — property-tested;
+//!   optional [`PlanCache`]: exact strategies then band at a bound wide
+//!   enough for a later crash and reuse the cached DP columns of the
+//!   trailing survivors that hold what the cold band reads. The result
+//!   is *identical* either way — property-tested;
 //! * [`scatter_schedule`] — the root's round loop: send every block
 //!   through the oracle, re-plan what was not delivered, repeat. Both
 //!   `gs-gridsim`'s fault simulator and `gs-minimpi`'s fault-tolerant
@@ -823,6 +824,12 @@ pub fn replan_residual(
 /// of trailing survivors whose cost functions are unchanged since the
 /// cached solve — the dominant case after a mid-scatter failure, where
 /// the survivor sub-platform is a sub-sequence of the one just solved.
+/// On linear/affine costs the cached plane is banded at the largest
+/// seed over single crashes, so a re-plan of the same items after one
+/// crash can reuse every column below the crashed worker's; a re-plan
+/// of fewer items reuses the root column, which starts at cell 0, and
+/// any above it whose first cell its cold band still reaches (see
+/// [`PlanCache`] for the rule).
 ///
 /// Warm-started re-plans return the same distribution and predicted
 /// makespan as from-scratch ones (bit-identical — property-tested);

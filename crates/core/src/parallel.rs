@@ -184,15 +184,15 @@ fn validate_procs(procs: &[&Processor], n: usize) -> Result<(), PlanError> {
 ///
 /// Column `plane.p - 1 - k` of the source becomes column `p - 1 - k` of
 /// the new solve for `k < reuse` — valid because DP column `i` depends
-/// only on the cost functions of processors `i..p-1`, so identical
-/// trailing processors produce bit-identical trailing columns. The
-/// caller ([`crate::planner::PlanCache`]) guarantees the trailing cost
-/// functions match and that each reused column holds every cell
-/// `0..=n` (a full-plane solve); warm solves themselves always run on
-/// the full plane, which is the source plane itself, re-used in place
-/// when the new solve has no more processors than the source.
+/// only on the cost functions of processors `i..p-1`. The caller
+/// ([`crate::planner::PlanCache`]) guarantees the trailing cost
+/// functions match and picks `reuse` with [`reusable`], which also
+/// checks that the source plane has the layout the new solve runs on:
+/// a full plane for a full-plane solve, a banded one for a banded solve.
+/// A warm solve runs in the source plane itself (a full source is
+/// copied only when the new solve has more processors).
 pub(crate) struct WarmStart {
-    /// Plane of the previous (full-plane) solve.
+    /// Plane of the previous solve.
     pub plane: DpPlane,
     /// Trailing columns to reuse; `1 <= reuse <= p - 1` (the top column
     /// is always recomputed).
@@ -206,9 +206,9 @@ pub struct ParallelOpts {
     pub threads: usize,
     /// Confine the solve to the band of cells a plan within the pruning
     /// bound can use ([`Kernel::Optimized`] and [`Kernel::Dc`]; ignored
-    /// by Algorithm 1 and by warm-started solves). Requires linear or
-    /// affine costs to seed the bound — otherwise the solve silently
-    /// runs on the full plane. The answer is bit-identical either way.
+    /// by Algorithm 1). Requires linear or affine costs to seed the
+    /// bound — otherwise the solve silently runs on the full plane. The
+    /// answer is bit-identical either way.
     pub prune: bool,
     /// Cells per work unit; `0` picks a size balancing scheduling
     /// overhead against load skew.
@@ -281,7 +281,8 @@ pub fn solve(
     n: usize,
     opts: &ParallelOpts,
 ) -> Result<(DpSolution, PlanTiming), PlanError> {
-    solve_full(kernel, table, procs, n, opts, None).map(|(sol, timing, _)| (sol, timing))
+    solve_seeded(kernel, table, procs, n, opts, None, plain_band)
+        .map(|(sol, timing, _)| (sol, timing))
 }
 
 /// [`solve`] with [`Kernel::Optimized`]. Kept only because the
@@ -306,11 +307,19 @@ pub fn optimal_distribution_dc_parallel_timed(
     solve(Kernel::Dc, table, procs, n, opts)
 }
 
-/// Full engine entry point: solves, and also returns the DP plane so
-/// the planner's [`crate::planner::PlanCache`] can keep it for
-/// warm-started re-plans. `warm` seeds the trailing columns from a
-/// previous plane (and forces the full plane).
-pub(crate) fn solve_full(
+/// A solve through the planner's [`crate::planner::PlanCache`]: also
+/// returns the DP plane, for the cache to keep for warm-started
+/// re-plans, and starts from the trailing columns of `warm` when given.
+///
+/// A banded solve here bands at the **single-crash bound**: the largest
+/// [`upper_bound`] seed over `procs` and over `procs` without any one
+/// non-root processor. It is feasible, so the answer is the same as
+/// under the plain seed, and it is at least the plain seed of a re-plan
+/// of the same `n` items after one crash: the plane's columns hold every
+/// cell that re-plan's cold band holds (see [`reusable`]). Its root
+/// column also holds every cell from 0, so any re-plan of fewer items
+/// can reuse at least that column.
+pub(crate) fn solve_cached(
     kernel: Kernel,
     table: &CostTable,
     procs: &[&Processor],
@@ -318,19 +327,67 @@ pub(crate) fn solve_full(
     opts: &ParallelOpts,
     warm: Option<WarmStart>,
 ) -> Result<(DpSolution, PlanTiming, DpPlane), PlanError> {
-    solve_seeded(kernel, table, procs, n, opts, warm, upper_bound)
+    solve_seeded(kernel, table, procs, n, opts, warm, cached_band)
 }
 
-/// [`solve_full`] with the pruning bound's seed as a parameter, so tests
-/// can inject an inconsistent bound.
+/// How many trailing columns of `plane` a solve of `kernel` with `opts`
+/// over `procs` and `n` items may reuse, given that the last `matching`
+/// processors of both solves have the same costs. The top column is
+/// never reused.
+///
+/// A full-plane solve reuses full-plane columns that hold every cell
+/// `0..=n`. A banded solve reuses banded columns, from the root up,
+/// while the column's bound is at least the bound of the band `R` a
+/// cold solve of the new problem would use (the plain seed), and its
+/// first cell is at or below `R`'s. A column's values depend on every
+/// column below it, and the walk reaches it only when those passed too.
+/// Every cell of `R` a reused column holds then lies between the
+/// full-plane value and the cold banded value: its candidate sets are
+/// supersets of the cold solve's (a larger bound gives larger
+/// capacities and trims later, a lower first cell adds candidates), and
+/// every value is still a minimum over true plan values, so never below
+/// the DP's. The band's argument (see [`Band`]) then applies again: the
+/// same minimisers are kept, so the argmin and its tie-break are
+/// unchanged.
+pub(crate) fn reusable(
+    plane: &DpPlane,
+    kernel: Kernel,
+    procs: &[&Processor],
+    n: usize,
+    opts: &ParallelOpts,
+    matching: usize,
+) -> usize {
+    let p = procs.len();
+    let max = matching.min(p.saturating_sub(1)).min(plane.p.saturating_sub(1));
+    if max == 0 {
+        return 0;
+    }
+    let old = |k: usize| plane.p - 1 - k;
+    match band_of(kernel, procs, n, opts, plain_band) {
+        // Past the cached solve's `n` a column may have been cut at its
+        // last cell rather than by its bound.
+        Some(cold) if plane.is_banded() && n <= plane.n => (0..max)
+            .take_while(|&k| {
+                let col = plane.span(old(k));
+                col.bound >= cold.bound && col.start <= cold.lo[p - 1 - k]
+            })
+            .count(),
+        None if !plane.is_banded() => (0..max).take_while(|&k| plane.covers(old(k), n)).count(),
+        _ => 0,
+    }
+}
+
+/// The engine behind [`solve`] and [`solve_cached`], with the band
+/// builder as a parameter (so tests can also inject an inconsistent
+/// bound); returns the DP plane too.
 fn solve_seeded(
     kernel: Kernel,
     table: &CostTable,
     procs: &[&Processor],
     n: usize,
     opts: &ParallelOpts,
-    warm: Option<WarmStart>,
-    seed: impl Fn(&[&Processor], usize) -> Option<f64>,
+    mut warm: Option<WarmStart>,
+    band_for: impl Fn(&[&Processor], usize) -> Option<Band>,
 ) -> Result<(DpSolution, PlanTiming, DpPlane), PlanError> {
     let start = Instant::now();
     let mut solve_span = span::span("dp", "dp.solve");
@@ -350,31 +407,23 @@ fn solve_seeded(
     let hits0 = table.hits();
     let misses0 = table.misses();
 
-    // The band needs a seed, and costs whose monotonicity is analytic
-    // (affine with non-negative slopes; the tabulated check below could
-    // not fail). Its sweep reads the costs only up to the largest count
-    // one processor can take within the bound, so only that prefix is
-    // tabulated.
     let t_band = Instant::now();
-    let band = if opts.prune
-        && kernel != Kernel::Basic
-        && warm.is_none()
-        && procs.iter().all(|pr| affine_non_decreasing(pr))
-    {
-        seed(procs, n).map(|t| Band::new(procs, n, t * (1.0 + BOUND_MARGIN)))
-    } else {
-        None
-    };
-    let last = band.as_ref().map_or(n, Band::last);
+    let band = band_of(kernel, procs, n, opts, band_for);
     let band_secs = t_band.elapsed().as_secs_f64();
 
     // A warm start recomputes only the columns it does not reuse, so the
     // reused processors' costs need no table when their monotonicity is
     // analytic; otherwise they are tabulated for the exact check below.
+    // [`reusable`] only admits a source plane of the solve's layout.
+    debug_assert!(warm.as_ref().is_none_or(|w| w.plane.is_banded() == band.is_some()));
     let reuse = warm.as_ref().map_or(0, |w| w.reuse);
     debug_assert!(reuse < p, "the top column is never reused");
     let skip = if procs[p - reuse..].iter().all(|pr| affine_non_decreasing(pr)) { reuse } else { 0 };
     let computed = &procs[..p - skip];
+    // The band's sweep reads the costs only up to the largest count one
+    // computed column's processor can take within the bound, so only
+    // that prefix is tabulated.
+    let last = band.as_ref().map_or(n, |b| b.last(computed.len()));
 
     let t_tab = Instant::now();
     let tab_span = span::span("dp", "dp.tabulate");
@@ -424,25 +473,31 @@ fn solve_seeded(
     engine.span_parent = sweep_span.id();
     let mut banded = None;
     if let Some(band) = &band {
-        let mut plane = DpPlane::banded(p, n);
-        match engine.run(&mut plane, Some(band), 0) {
+        let mut plane = match warm.take() {
+            Some(w) => w.plane.rebase(p, n, w.reuse),
+            None => DpPlane::banded(p, n),
+        };
+        match engine.run(&mut plane, Some(band), reuse) {
             Some(answer) => banded = Some((answer, plane)),
             // The bound proved inconsistent with the table (cannot
             // happen for a correctly seeded bound; kept as a correctness
-            // net): redo on the full plane.
+            // net): redo on the full plane, from scratch.
             None => engine.stats.band_fallbacks.inc(),
         }
     }
     let pruned = banded.is_some();
-    let ((counts, makespan), plane) = match banded {
-        Some(done) => done,
+    let ((counts, makespan), plane, reuse) = match banded {
+        Some((answer, plane)) => (answer, plane, reuse),
         None => {
-            if engine.last < n {
-                // The full plane reads the costs on all of 0..=n (still
-                // non-decreasing: the band only runs on such costs).
-                engine.tabs = tabulate(table, computed, n).0;
+            if band.is_some() {
+                // The full plane reads every processor's costs on all of
+                // 0..=n (still non-decreasing: the band only runs on
+                // such costs).
+                engine.tabs = tabulate(table, procs, n).0;
                 engine.last = n;
             }
+            // A failed banded attempt has used up its warm start.
+            let reuse = warm.as_ref().map_or(0, |w| w.reuse);
             let mut plane = match warm {
                 Some(w) => warm_plane(w, p, n),
                 None => DpPlane::full(p, n),
@@ -450,7 +505,7 @@ fn solve_seeded(
             let answer = engine
                 .run(&mut plane, None, reuse)
                 .expect("a full-plane solve is always consistent");
-            (answer, plane)
+            (answer, plane, reuse)
         }
     };
     drop(sweep_span);
@@ -523,6 +578,52 @@ fn warm_plane(w: WarmStart, p: usize, n: usize) -> DpPlane {
         }
     }
     plane
+}
+
+/// A solve's band from `band_for`, `None` when the solve runs on the
+/// full plane. The band needs a seed, and costs whose monotonicity is
+/// analytic (affine with non-negative slopes; the tabulated check could
+/// not fail).
+fn band_of(
+    kernel: Kernel,
+    procs: &[&Processor],
+    n: usize,
+    opts: &ParallelOpts,
+    band_for: impl Fn(&[&Processor], usize) -> Option<Band>,
+) -> Option<Band> {
+    let bandable =
+        opts.prune && kernel != Kernel::Basic && procs.iter().all(|pr| affine_non_decreasing(pr));
+    bandable.then(|| band_for(procs, n)).flatten()
+}
+
+/// The band of a cache-less solve: at the [`upper_bound`] seed.
+fn plain_band(procs: &[&Processor], n: usize) -> Option<Band> {
+    upper_bound(procs, n).map(|t| Band::new(procs, n, t * (1.0 + BOUND_MARGIN)))
+}
+
+/// The band of a solve through the cache: at the single-crash bound,
+/// with the root column opened at cell 0. The root column reads no
+/// other column, one cost sum per cell, and holding all its low cells
+/// lets a re-plan of fewer items, whose band starts lower, reuse it.
+fn cached_band(procs: &[&Processor], n: usize) -> Option<Band> {
+    let mut band = Band::new(procs, n, single_crash_bound(procs, n)? * (1.0 + BOUND_MARGIN));
+    if let [_, .., root] = band.lo.as_mut_slice() {
+        *root = 0;
+    }
+    Some(band)
+}
+
+/// The largest [`upper_bound`] over `procs` and over `procs` without any
+/// one non-root processor (root last): a feasible makespan, and at least
+/// the plain seed of every re-plan of `n` items after a single crash.
+fn single_crash_bound(procs: &[&Processor], n: usize) -> Option<f64> {
+    let own = upper_bound(procs, n)?;
+    let mut rest = Vec::with_capacity(procs.len());
+    Some((0..procs.len() - 1).fold(own, |bound, k| {
+        rest.clear();
+        rest.extend(procs.iter().enumerate().filter(|&(i, _)| i != k).map(|(_, &pr)| pr));
+        upper_bound(&rest, n).map_or(bound, |b| bound.max(b))
+    }))
 }
 
 /// A feasible (hence upper-bounding) makespan for pruning, from `f64`
@@ -702,9 +803,10 @@ impl Band {
         Band { bound, lo, cap }
     }
 
-    /// The largest item count the banded sweep evaluates a cost at.
-    fn last(&self) -> usize {
-        self.cap.iter().flatten().copied().max().unwrap_or(0)
+    /// The largest item count the banded sweep evaluates a cost of one
+    /// of the first `columns` processors at.
+    fn last(&self, columns: usize) -> usize {
+        self.cap[..columns].iter().flatten().copied().max().unwrap_or(0)
     }
 }
 
@@ -782,11 +884,11 @@ impl Engine {
 
     /// Runs the column sweep + reconstruction over `plane` — the whole
     /// plane when `band` is `None`, else only the band's cells; `reuse`
-    /// trailing columns were pre-filled by a warm start (full plane
-    /// only). Returns `None` only when the band turned out inconsistent
-    /// with the table: a column came out empty, the reconstruction left
-    /// the band, or the makespan exceeds the bound. The caller then
-    /// retries on the full plane.
+    /// trailing columns were pre-filled by a warm start. Returns `None`
+    /// only when the band turned out inconsistent with the table: a
+    /// column came out empty, the reconstruction left the band, or the
+    /// makespan exceeds the bound. The caller then retries on the full
+    /// plane.
     fn run(
         &self,
         plane: &mut DpPlane,
@@ -814,6 +916,9 @@ impl Engine {
             }
             self.stats.cells.add((cap - lo + 1) as u64);
             self.stats.prune_hits.add((n + lo - cap) as u64);
+            if let Some(b) = bound {
+                plane.set_bound(p - 1, b);
+            }
         }
         if p == 1 {
             return plane.get(0, n).map(|(v, _)| (vec![n], v));
@@ -826,6 +931,10 @@ impl Engine {
         for i in (1..p - known).rev() {
             let (lo, cap) = edges(i)?;
             let next = plane.span(i + 1);
+            // Cells below the previous column's first have no candidate.
+            // A reused column may start above this band's edge: it was
+            // banded under another bound.
+            let lo = lo.max(next.start);
             // Cells past the previous column's last live cell plus this
             // processor's capacity have no live candidate.
             let hi = (next.start + next.len - 1 + cap).min(n);
@@ -848,6 +957,9 @@ impl Engine {
             }
             self.stats.prune_hits.add((n + 1 - (hi - lo + 1)) as u64);
             plane.trim(i, live);
+            if let Some(b) = bound {
+                plane.set_bound(i, b);
+            }
         }
 
         // Top column: reconstruction starts at (d = n, i = 0), so only
@@ -1486,7 +1598,9 @@ pub(crate) mod tests {
         let v = sub.ordered(&order);
         let n = 3000;
         let full = serial_solve(Optimized, &v, n).unwrap();
-        let low = |_: &[&Processor], _: usize| Some(full.makespan * 0.999);
+        let low = |v: &[&Processor], n: usize| {
+            Some(Band::new(v, n, full.makespan * 0.999 * (1.0 + BOUND_MARGIN)))
+        };
         for kernel in [Optimized, Dc] {
             let opts = ParallelOpts { threads: 1, prune: true, chunk: 0 };
             let before = band_fallbacks();
@@ -1495,6 +1609,15 @@ pub(crate) mod tests {
             assert_eq!(band_fallbacks(), before + 1, "{kernel:?}: one fallback counted");
             assert_bit_identical(&sol, &full, &format!("{kernel:?} after fallback"));
             assert!(!timing.pruned, "the answer came from the full plane");
+            // A warm-started banded solve falls back the same way, and
+            // the full plane then needs the reused processors' costs too.
+            let table = CostTable::new();
+            let (_, _, plane) = solve_cached(kernel, &table, &v, n, &opts, None).unwrap();
+            let warm = WarmStart { plane, reuse: v.len() - 1 };
+            let (sol, timing, _) =
+                solve_seeded(kernel, &table, &v, n, &opts, Some(warm), low).unwrap();
+            assert_bit_identical(&sol, &full, &format!("{kernel:?} warm, after fallback"));
+            assert!(!timing.pruned, "the warm answer came from the full plane");
         }
     }
 
@@ -1505,12 +1628,14 @@ pub(crate) mod tests {
         let n = 50_000;
         let table = CostTable::new();
         let full_opts = ParallelOpts::serial();
-        let (full, _, full_plane) = solve_full(Dc, &table, &v, n, &full_opts, None).unwrap();
+        let (full, _, full_plane) =
+            solve_seeded(Dc, &table, &v, n, &full_opts, None, plain_band).unwrap();
         let before = band_fallbacks();
         for kernel in [Optimized, Dc] {
             for threads in [1usize, 2] {
                 let opts = ParallelOpts { threads, prune: true, chunk: 0 };
-                let (sol, timing, plane) = solve_full(kernel, &table, &v, n, &opts, None).unwrap();
+                let (sol, timing, plane) =
+                    solve_seeded(kernel, &table, &v, n, &opts, None, plain_band).unwrap();
                 assert_bit_identical(&sol, &full, &format!("{kernel:?} threads={threads}"));
                 assert!(timing.pruned);
                 assert!(
@@ -1581,32 +1706,31 @@ pub(crate) mod tests {
         let table = CostTable::new();
         let opts = ParallelOpts::serial();
         // Cold solve over the full platform keeps its plane.
-        let (_, _, plane) = solve_full(Optimized, &table, &v, 3000, &opts, None).unwrap();
+        let (_, _, plane) = solve_cached(Optimized, &table, &v, 3000, &opts, None).unwrap();
         // "Fail" the first two processors: the survivors are exactly the
         // trailing 6, so their 5 trailing columns (all but the top) can
         // be reused for any residual <= 3000.
         let survivors: Vec<&Processor> = v[2..].to_vec();
         for residual in [0usize, 1, 700, 2999] {
-            let cold = solve_full(Optimized, &table, &survivors, residual, &opts, None)
-                .unwrap();
+            let cold = solve_cached(Optimized, &table, &survivors, residual, &opts, None).unwrap();
             let reuse = survivors.len() - 1;
             let warm_src = WarmStart { plane: plane.clone(), reuse };
-            let warm = solve_full(Optimized, &table, &survivors, residual, &opts, Some(warm_src))
+            let warm = solve_cached(Optimized, &table, &survivors, residual, &opts, Some(warm_src))
                 .unwrap();
             assert_bit_identical(&warm.0, &cold.0, &format!("warm residual={residual}"));
             // The warm plane must itself be a valid cache source.
             let again = WarmStart { plane: warm.2, reuse };
-            let rewarm = solve_full(Optimized, &table, &survivors, residual, &opts, Some(again))
-                .unwrap();
+            let rewarm =
+                solve_cached(Optimized, &table, &survivors, residual, &opts, Some(again)).unwrap();
             assert_bit_identical(&rewarm.0, &cold.0, &format!("rewarm residual={residual}"));
         }
         // A source with fewer columns than the new solve is copied, not
         // re-used in place: warm-start the full platform from the
         // survivors' plane.
-        let (_, _, small) = solve_full(Optimized, &table, &survivors, 3000, &opts, None).unwrap();
-        let cold = solve_full(Optimized, &table, &v, 2500, &opts, None).unwrap();
+        let (_, _, small) = solve_cached(Optimized, &table, &survivors, 3000, &opts, None).unwrap();
+        let cold = solve_cached(Optimized, &table, &v, 2500, &opts, None).unwrap();
         let grow = WarmStart { plane: small, reuse: survivors.len() - 1 };
-        let warm = solve_full(Optimized, &table, &v, 2500, &opts, Some(grow)).unwrap();
+        let warm = solve_cached(Optimized, &table, &v, 2500, &opts, Some(grow)).unwrap();
         assert_bit_identical(&warm.0, &cold.0, "warm start from a smaller platform");
     }
 
@@ -1625,12 +1749,12 @@ pub(crate) mod tests {
         let table = CostTable::new();
         let opts = ParallelOpts::serial();
         // D&C demotes to Algorithm 1 on these costs and keeps its plane.
-        let (_, _, plane) = solve_full(Dc, &table, &v, 300, &opts, None).unwrap();
+        let (_, _, plane) = solve_cached(Dc, &table, &v, 300, &opts, None).unwrap();
         let survivors = &v[1..];
         let warm = WarmStart { plane, reuse: survivors.len() - 1 };
         assert!(ps[2].comm.probably_increasing(200), "the probe samples every 3rd count");
         assert!(matches!(
-            solve_full(Optimized, &table, survivors, 200, &opts, Some(warm)),
+            solve_cached(Optimized, &table, survivors, 200, &opts, Some(warm)),
             Err(PlanError::NotIncreasing { proc: 1 })
         ));
     }
@@ -1645,12 +1769,12 @@ pub(crate) mod tests {
         let v = sub.ordered(&order);
         let table = CostTable::new();
         let opts = ParallelOpts::serial();
-        let (_, _, plane) = solve_full(Dc, &table, &v, 2000, &opts, None).unwrap();
+        let (_, _, plane) = solve_cached(Dc, &table, &v, 2000, &opts, None).unwrap();
         let survivors: Vec<&Processor> = v[3..].to_vec();
         let residual = 1500usize;
         let before = Registry::global().snapshot();
         let warm_src = WarmStart { plane, reuse: survivors.len() - 1 };
-        solve_full(Dc, &table, &survivors, residual, &opts, Some(warm_src)).unwrap();
+        solve_cached(Dc, &table, &survivors, residual, &opts, Some(warm_src)).unwrap();
         let after = Registry::global().snapshot();
         // Only the top cell is computed: every middle + base column was
         // copied. The cells counter may move from concurrent tests, but

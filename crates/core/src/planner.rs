@@ -88,10 +88,9 @@ struct PlaneEntry {
 /// platform whose *trailing* processors are unchanged — exactly what
 /// happens when fault recovery drops dead ranks but keeps the
 /// survivors' relative order, root last — the cached plane's trailing
-/// columns are bit-identical to what the new solve would recompute, so
-/// the engine keeps them and only computes the columns that actually
-/// changed — in the cached plane itself when the new platform has no
-/// more processors, so a warm re-plan neither allocates nor copies.
+/// columns can stand in for what the new solve would recompute, so the
+/// engine keeps them and only computes the columns above them, in the
+/// cached plane itself: a warm re-plan copies no cell.
 ///
 /// The cache holds one plane: the last exact solve wins. Entries are
 /// keyed by a hash of the ordered `(Tcomm, Tcomp)` cost-function
@@ -100,15 +99,31 @@ struct PlaneEntry {
 /// Any platform change shows up as a signature mismatch and invalidates
 /// the non-matching columns — a changed processor invalidates every
 /// column at or above its scatter position, and a fully changed
-/// platform misses outright. Solves through the cache run on the **full
-/// plane** (never banded), so every cached column holds the true DP
-/// value of every cell `0..=n` — a banded column would be useless here,
-/// because a re-plan's residual `n` and its band differ from the cached
-/// solve's. A planner without a cache keeps its exact solves banded.
+/// platform misses outright.
+///
+/// Exact solves through the cache stay banded where a cache-less solve
+/// would be (linear/affine costs, [`Planner::prune`] on), but band at
+/// the *single-crash bound*: the largest seed over the platform and over
+/// the platform without any one worker. Each cached column keeps its
+/// first cell and the bound it was computed under. A later banded solve
+/// reuses trailing columns, from the root up, while their signatures
+/// match, their bound is at least the bound of the band a cold solve of
+/// the new problem would use, and their first cell is at or below that
+/// band's. Those columns hold everything the cold band reads, with
+/// values between the full plane's and the cold band's, so the answer
+/// is unchanged. A re-plan of the same items after one crash can reuse
+/// every column below the crashed worker's. The root column holds every
+/// cell from 0, so a re-plan of fewer items (whose band starts lower)
+/// reuses at least that column, where a full plane would have served
+/// every column but the top. Other costs,
+/// [`Strategy::ExactBasic`] and `prune(false)` solve and cache the full
+/// plane, whose columns are reusable for any re-plan of at most as many
+/// items.
 ///
 /// Plans through a cache are bit-identical in makespan to cold plans —
 /// property-tested — and hits/misses are published as
-/// `plan_cache_hits_total` / `plan_cache_misses_total`.
+/// `plan_cache_hits_total` (at least one column reused) /
+/// `plan_cache_misses_total`.
 ///
 /// ```
 /// use std::sync::Arc;
@@ -131,6 +146,35 @@ struct PlaneEntry {
 /// // Warm starts never change the answer, only the work done.
 /// assert_eq!(warm.total_items(), 1000);
 /// assert!(warm.predicted_makespan < cold.predicted_makespan);
+/// ```
+///
+/// After a crash, a re-plan over the survivors (their order kept, root
+/// last) reuses the columns below the crashed worker's:
+///
+/// ```
+/// use std::sync::Arc;
+/// use gs_scatter::prelude::*;
+///
+/// let platform = Platform::new(vec![
+///     Processor::linear("root", 0.0, 0.01),
+///     Processor::linear("w1", 1e-4, 0.02),
+///     Processor::linear("w2", 2e-4, 0.03),
+/// ], 0).unwrap();
+/// let cache = Arc::new(PlanCache::new());
+/// let exact = |p: &Platform| Planner::new(p.clone()).strategy(Strategy::Exact);
+///
+/// let before = exact(&platform).plan_cache(Arc::clone(&cache)).plan(2000).unwrap();
+/// // w1, served first, crashes: re-plan every item over the survivors.
+/// let survivors = Platform::new(
+///     vec![platform.procs()[0].clone(), platform.procs()[2].clone()],
+///     0,
+/// ).unwrap();
+/// let warm = exact(&survivors).plan_cache(Arc::clone(&cache)).plan(2000).unwrap();
+/// assert_eq!(cache.misses(), 1);
+/// assert_eq!(cache.hits(), 1);
+/// let cold = exact(&survivors).plan(2000).unwrap();
+/// assert_eq!(warm.counts, cold.counts);
+/// assert!(warm.predicted_makespan > before.predicted_makespan);
 /// ```
 #[derive(Debug, Default)]
 pub struct PlanCache {
@@ -162,53 +206,45 @@ impl PlanCache {
         h.finish()
     }
 
-    /// Takes the cached plane out when its trailing columns are
-    /// reusable for a solve over `sigs` with `n` items, returning it
-    /// with the number of trailing columns to reuse. The caller is
-    /// expected to [`PlanCache::store`] the new solve's plane, refilling
-    /// the slot.
-    fn take_warm(&self, sigs: &[CostSig], n: usize) -> Option<(DpPlane, usize)> {
+    /// Takes the cached plane out when some of its trailing columns are
+    /// reusable for a solve over `sigs`, as a warm start. `reusable`
+    /// decides how many, given the plane and how many trailing
+    /// signatures match; a hit or miss is counted only after it. The
+    /// caller is expected to [`PlanCache::store`] the new solve's plane,
+    /// refilling the slot.
+    fn take_warm(
+        &self,
+        sigs: &[CostSig],
+        reusable: impl FnOnce(&DpPlane, usize) -> usize,
+    ) -> Option<WarmStart> {
         let mut slot = self.slot.lock().expect("plan cache poisoned");
-        let Some(entry) = slot.take() else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            Registry::global()
-                .counter("plan_cache_misses_total", "plan-cache lookups with nothing to reuse")
-                .inc();
-            return None;
-        };
-        let (p_new, p_old) = (sigs.len(), entry.sigs.len());
-        // Fast path: an unchanged platform (same hash, then verified
-        // equal) skips the per-column signature walk.
-        let same_platform = entry.key == PlanCache::key(sigs) && entry.sigs == sigs;
-        // The top column of either solve is never reusable (only its
-        // cell `n` is ever computed, and the new one must be recomputed
-        // anyway); `covers` additionally guards residuals larger than
-        // the cached solve.
-        let max = p_new.saturating_sub(1).min(p_old.saturating_sub(1));
-        let mut reuse = 0;
-        while reuse < max
-            && (same_platform || entry.sigs[p_old - 1 - reuse] == sigs[p_new - 1 - reuse])
-            && entry.plane.covers(p_old - 1 - reuse, n)
-        {
-            reuse += 1;
-        }
+        let reuse = slot.as_ref().map_or(0, |entry| {
+            let (p_new, p_old) = (sigs.len(), entry.sigs.len());
+            // Fast path: an unchanged platform (same hash, then verified
+            // equal) skips the per-column signature walk.
+            let same_platform = entry.key == PlanCache::key(sigs) && entry.sigs == sigs;
+            let matching = (0..p_new.min(p_old))
+                .take_while(|&k| same_platform || entry.sigs[p_old - 1 - k] == sigs[p_new - 1 - k])
+                .count();
+            reusable(&entry.plane, matching)
+        });
         if reuse == 0 {
             self.misses.fetch_add(1, Ordering::Relaxed);
             Registry::global()
                 .counter("plan_cache_misses_total", "plan-cache lookups with nothing to reuse")
                 .inc();
-            *slot = Some(entry);
             return None;
         }
         self.hits.fetch_add(1, Ordering::Relaxed);
         Registry::global()
             .counter("plan_cache_hits_total", "plan-cache lookups that warm-started a solve")
             .inc();
-        Some((entry.plane, reuse))
+        let entry = slot.take().expect("a hit has an entry");
+        Some(WarmStart { plane: entry.plane, reuse })
     }
 
-    /// Stores the plane of a finished **full-plane** exact solve,
-    /// replacing whatever the cache held.
+    /// Stores the plane of a finished exact solve, replacing whatever
+    /// the cache held.
     fn store(&self, sigs: Vec<CostSig>, plane: DpPlane) {
         let entry = PlaneEntry { key: PlanCache::key(&sigs), sigs, plane };
         *self.slot.lock().expect("plan cache poisoned") = Some(entry);
@@ -327,10 +363,11 @@ impl Planner {
     /// Confines [`Strategy::Exact`] and [`Strategy::ExactDc`] solves to
     /// the band of DP cells a plan within a feasible makespan can use
     /// (on by default; see [`crate::parallel::ParallelOpts::prune`]).
-    /// Only linear/affine costs seed the bound; other costs, and solves
-    /// through a [`PlanCache`], run on the full plane. `prune(false)` is
-    /// the full-plane reference solve. Results are bit-identical either
-    /// way.
+    /// Only linear/affine costs seed the bound; other costs run on the
+    /// full plane. Solves through a [`PlanCache`] band at a wider bound
+    /// that keeps their columns reusable after a crash (see there).
+    /// `prune(false)` is the full-plane reference solve. Results are
+    /// bit-identical either way.
     pub fn prune(mut self, prune: bool) -> Self {
         self.prune = prune;
         self
@@ -343,10 +380,12 @@ impl Planner {
         self
     }
 
-    /// Shares a [`PlanCache`]: exact strategies then solve on the full
-    /// plane and store it into the cache, and later plans whose platform
-    /// shares a trailing suffix (e.g. re-plans over fault survivors)
-    /// warm-start from the cached columns. No effect on non-exact
+    /// Shares a [`PlanCache`]: exact strategies then store their DP plane
+    /// into the cache (banded at the single-crash bound where a
+    /// cache-less solve would be banded, else the full plane), and later
+    /// plans whose platform shares a trailing suffix (e.g. re-plans over
+    /// fault survivors) warm-start from the cached columns the reuse
+    /// rule admits (see [`PlanCache`]). No effect on non-exact
     /// strategies; makespans are identical with or without the cache.
     pub fn plan_cache(mut self, cache: Arc<PlanCache>) -> Self {
         self.plan_cache = Some(cache);
@@ -414,9 +453,8 @@ impl Planner {
         Ok(Plan { counts, displs, order, predicted, predicted_makespan, timing })
     }
 
-    /// Runs one exact DP strategy, going through the [`PlanCache`] on the
-    /// full plane when one is attached (cached planes must hold true DP
-    /// values in every cell).
+    /// Runs one exact DP strategy, going through the [`PlanCache`] when
+    /// one is attached.
     fn exact(
         &self,
         kernel: Kernel,
@@ -434,9 +472,10 @@ impl Planner {
         };
         let sigs: Vec<CostSig> =
             view.iter().map(|pr| (key_of(&pr.comm), key_of(&pr.comp))).collect();
-        let warm = cache.take_warm(&sigs, n).map(|(plane, reuse)| WarmStart { plane, reuse });
-        let full = ParallelOpts { prune: false, ..*opts };
-        let (sol, timing, plane) = parallel::solve_full(kernel, table, view, n, &full, warm)?;
+        let warm = cache.take_warm(&sigs, |plane, matching| {
+            parallel::reusable(plane, kernel, view, n, opts, matching)
+        });
+        let (sol, timing, plane) = parallel::solve_cached(kernel, table, view, n, opts, warm)?;
         cache.store(sigs, plane);
         Ok((sol.counts, timing))
     }
@@ -662,6 +701,104 @@ mod tests {
             .unwrap();
         assert_eq!(cache.hits(), 0);
         assert_eq!(cache.misses(), 2);
+    }
+
+    #[test]
+    fn plan_cache_solves_are_banded() {
+        let n = 50_000;
+        let reference = Planner::new(crate::paper::table1_platform())
+            .strategy(Strategy::Exact)
+            .prune(false)
+            .plan(n)
+            .unwrap();
+        let full_bytes = 16 * (n + 1) * (std::mem::size_of::<f64>() + std::mem::size_of::<u32>());
+        for strategy in [Strategy::Exact, Strategy::ExactDc] {
+            let cache = Arc::new(PlanCache::new());
+            let plan = Planner::new(crate::paper::table1_platform())
+                .strategy(strategy)
+                .plan_cache(Arc::clone(&cache))
+                .plan(n)
+                .unwrap();
+            assert!(plan.timing.pruned, "{strategy:?}: a cached solve runs banded");
+            assert_eq!(plan.counts, reference.counts, "{strategy:?}");
+            assert_eq!(
+                plan.predicted_makespan.to_bits(),
+                reference.predicted_makespan.to_bits(),
+                "{strategy:?}"
+            );
+            let slot = cache.slot.lock().unwrap();
+            let bytes = slot.as_ref().expect("the solve was stored").plane.bytes();
+            assert!(
+                bytes * 5 < full_bytes,
+                "{strategy:?}: cached plane {bytes} B of {full_bytes} B"
+            );
+        }
+    }
+
+    #[test]
+    fn plan_cache_on_non_affine_costs_keeps_the_full_plane() {
+        let mut procs = platform().procs().to_vec();
+        procs[2].comp = crate::cost::CostFn::table(vec![(100, 0.4), (5000, 19.0)]);
+        let plat = Platform::new(procs.clone(), 0).unwrap();
+        let cache = Arc::new(PlanCache::new());
+        let primed = Planner::new(plat)
+            .strategy(Strategy::Exact)
+            .plan_cache(Arc::clone(&cache))
+            .plan(4000)
+            .unwrap();
+        assert!(!primed.timing.pruned, "tabulated costs seed no band");
+        assert!(!cache.slot.lock().unwrap().as_ref().unwrap().plane.is_banded());
+        // Drop the first worker in scatter order: the survivors' suffix
+        // of full-plane columns is reusable.
+        let surv =
+            Platform::new(vec![procs[0].clone(), procs[2].clone(), procs[3].clone()], 0).unwrap();
+        let cold = Planner::new(surv.clone()).strategy(Strategy::Exact).plan(1500).unwrap();
+        let warm = Planner::new(surv)
+            .strategy(Strategy::Exact)
+            .plan_cache(Arc::clone(&cache))
+            .plan(1500)
+            .unwrap();
+        assert_eq!(cache.hits(), 1, "the full plane still warm-starts");
+        assert!(!warm.timing.pruned);
+        assert_eq!(warm.counts, cold.counts);
+        assert_eq!(warm.predicted_makespan.to_bits(), cold.predicted_makespan.to_bits());
+    }
+
+    #[test]
+    fn plan_cache_serves_fewer_items_from_the_root_column() {
+        // Under the single-crash bound the root's band starts well above
+        // cell 0 on the first platform, and at 0 anyway on the second.
+        let small = Platform::new(
+            vec![
+                Processor::linear("root", 0.0, 0.01),
+                Processor::linear("w1", 1e-4, 0.02),
+                Processor::linear("w2", 2e-4, 0.03),
+            ],
+            0,
+        )
+        .unwrap();
+        let four = platform();
+        for strategy in [Strategy::Exact, Strategy::ExactDc] {
+            for (plat, n) in
+                [(&small, 1999), (&small, 1000), (&small, 10), (&small, 0), (&four, 1500)]
+            {
+                let cache = Arc::new(PlanCache::new());
+                let planner =
+                    Planner::new(plat.clone()).strategy(strategy).plan_cache(Arc::clone(&cache));
+                planner.plan(2000).unwrap();
+                let slot = cache.slot.lock().unwrap();
+                let plane = &slot.as_ref().unwrap().plane;
+                assert!(plane.is_banded());
+                assert_eq!(plane.span(plane.p - 1).start, 0, "the root column starts at 0");
+                drop(slot);
+                let warm = planner.plan(n).unwrap();
+                assert_eq!(cache.hits(), 1, "{strategy:?} n={n}: the root column is reused");
+                assert!(warm.timing.pruned, "{strategy:?} n={n}");
+                let cold = Planner::new(plat.clone()).strategy(strategy).plan(n).unwrap();
+                assert_eq!(warm.counts, cold.counts, "{strategy:?} n={n}");
+                assert_eq!(warm.predicted_makespan.to_bits(), cold.predicted_makespan.to_bits());
+            }
+        }
     }
 
     /// The Send/Sync audit the serve daemon relies on: everything a

@@ -2,7 +2,8 @@
 //! multi-threaded, confined to the band the pruning bound certifies, or
 //! both — must return a **bit-identical** `(counts, makespan)` to the
 //! serial full-plane solvers on random increasing platforms, for thread
-//! counts 1, 2 and 8.
+//! counts 1, 2 and 8; and a re-plan warm-started from a `PlanCache` must
+//! equal the cold re-plan.
 
 use grid_scatter::prelude::{PlanCache, Planner, Platform, Processor, Strategy as PlanStrategy};
 use grid_scatter::scatter::cost_table::CostTable;
@@ -83,6 +84,68 @@ fn assert_band_invisible(platform: &Platform, n: usize) -> Result<(), TestCaseEr
         }
     }
     prop_assert_eq!(band_fallbacks(), before, "a consistent bound fell back to the full plane");
+    Ok(())
+}
+
+/// Primes a [`PlanCache`] with a plan of `prime_n` items over `platform`,
+/// then crashes one non-root processor after another (`victims`, each
+/// taken modulo the workers left) and after each crash re-plans
+/// `residual` items over the survivors (their order kept, root last),
+/// warm through the cache and cold. For both exact strategies every
+/// warm re-plan must equal the cold one bit for bit, both must run
+/// banded, and the first re-plan of every item must reuse cached
+/// columns. The second crash lands on a cache whose root-side columns
+/// were banded for single crashes of the first platform, below what a
+/// cold band after two crashes holds.
+fn assert_crash_replans_are_cold(
+    platform: &Platform,
+    victims: [usize; 2],
+    prime_n: usize,
+    residual: usize,
+) -> Result<(), TestCaseError> {
+    let order = scatter_order(platform, OrderPolicy::DescendingBandwidth);
+    for strategy in [PlanStrategy::Exact, PlanStrategy::ExactDc] {
+        let planner = |p: &Platform| {
+            Planner::new(p.clone()).strategy(strategy).order_policy(OrderPolicy::AsIs)
+        };
+        let cache = Arc::new(PlanCache::new());
+        let primed = planner(platform)
+            .plan_cache(Arc::clone(&cache))
+            .plan_with_order(prime_n, order.clone())
+            .unwrap();
+        prop_assert!(primed.timing.pruned, "{:?}: the primed solve ran unbanded", strategy);
+        let mut alive: Vec<Processor> = platform.ordered(&order).into_iter().cloned().collect();
+        for (round, victim) in victims.into_iter().enumerate() {
+            if alive.len() < 2 {
+                break;
+            }
+            let victim = victim % (alive.len() - 1);
+            alive.remove(victim);
+            let surv = Platform::new(alive.clone(), alive.len() - 1).unwrap();
+            let what = format!(
+                "{strategy:?} crash {round}: p={} victim={victim} prime_n={prime_n} \
+                 residual={residual}",
+                alive.len() + 1
+            );
+            let hits = cache.hits();
+            let cold = planner(&surv).plan(residual).unwrap();
+            let warm = planner(&surv).plan_cache(Arc::clone(&cache)).plan(residual).unwrap();
+            prop_assert_eq!(&warm.counts, &cold.counts, "{}: warm start changed the plan", what);
+            prop_assert_eq!(
+                warm.predicted_makespan.to_bits(),
+                cold.predicted_makespan.to_bits(),
+                "{}: warm {} vs cold {}",
+                what,
+                warm.predicted_makespan,
+                cold.predicted_makespan
+            );
+            prop_assert!(cold.timing.pruned && warm.timing.pruned, "{}: ran unbanded", what);
+            // A lone survivor's only column is its top one, never reused.
+            if round == 0 && residual == prime_n && alive.len() > 1 {
+                prop_assert_eq!(cache.hits(), hits + 1, "{}: the re-plan missed", what);
+            }
+        }
+    }
     Ok(())
 }
 
@@ -241,6 +304,34 @@ proptest! {
                 cold.predicted_makespan
             );
         }
+    }
+
+    /// Re-plans after one and two crashes, warm-started from a banded
+    /// `PlanCache` plane, equal the cold re-plans on random linear
+    /// platforms.
+    #[test]
+    fn crash_replan_through_a_cache_is_cold_linear(
+        platform in linear_platform(8),
+        victims in (any::<usize>(), any::<usize>()),
+        prime_n in 0usize..=2000,
+        share in 0usize..=1000,
+        every_item in any::<bool>(),
+    ) {
+        let residual = if every_item { prime_n } else { prime_n * share / 1000 };
+        assert_crash_replans_are_cold(&platform, [victims.0, victims.1], prime_n, residual)?;
+    }
+
+    /// The same on random affine platforms.
+    #[test]
+    fn crash_replan_through_a_cache_is_cold_affine(
+        platform in affine_platform(8),
+        victims in (any::<usize>(), any::<usize>()),
+        prime_n in 0usize..=2000,
+        share in 0usize..=1000,
+        every_item in any::<bool>(),
+    ) {
+        let residual = if every_item { prime_n } else { prime_n * share / 1000 };
+        assert_crash_replans_are_cold(&platform, [victims.0, victims.1], prime_n, residual)?;
     }
 
     /// Banded ≡ full plane on random linear platforms.
