@@ -205,10 +205,40 @@ pub fn decimal_platform(p: usize, seed: u64) -> Platform {
     Platform::new(procs, 0).expect("decimal platform")
 }
 
-/// Times the engine variants on [`dp_perf_platform`] platforms.
-/// `threads` is the worker count of the parallel variants; tabulations
-/// are pre-warmed through a shared [`CostTable`] so every variant times
-/// the solve, not the setup.
+/// Repetitions of each timed DP variant: a committed time is their
+/// median, so one slow spell of a shared host neither becomes the
+/// committed figure nor flips the bench gate's D&C speedup ratio.
+pub const DP_REPS: usize = 5;
+
+/// Runs each of `variants` [`DP_REPS`] times through `run`, which returns
+/// the seconds it timed with its output. The variants take turns, so a
+/// slow spell hits all of them alike. Returns each variant's median
+/// seconds with the outputs of all its runs.
+fn median_runs<V: Copy, T>(
+    variants: &[V],
+    mut run: impl FnMut(V) -> (f64, T),
+) -> Vec<(f64, Vec<T>)> {
+    let mut runs: Vec<(Vec<f64>, Vec<T>)> = variants.iter().map(|_| (vec![], vec![])).collect();
+    for _ in 0..DP_REPS {
+        for (&v, (secs, outs)) in variants.iter().zip(&mut runs) {
+            let (t, out) = run(v);
+            secs.push(t);
+            outs.push(out);
+        }
+    }
+    runs.into_iter()
+        .map(|(mut secs, outs)| {
+            secs.sort_by(f64::total_cmp);
+            (secs[DP_REPS / 2], outs)
+        })
+        .collect()
+}
+
+/// Times the engine variants on [`dp_perf_platform`] platforms, each as
+/// the median of [`DP_REPS`] solves. `threads` is the worker count of
+/// the parallel variants; tabulations are pre-warmed through a shared
+/// [`CostTable`] so every full-plane variant times the solve, not the
+/// setup (banded solves read no table).
 pub fn dp_perf_trajectory(cases: &[(usize, usize)], threads: usize) -> Vec<DpPerfRow> {
     let table = CostTable::new();
     cases
@@ -222,39 +252,33 @@ pub fn dp_perf_trajectory(cases: &[(usize, usize)], threads: usize) -> Vec<DpPer
                 table.tabulate(&pr.comm, n);
                 table.tabulate(&pr.comp, n);
             }
-            let time = |opts: &ParallelOpts| {
+            // Serial, parallel, pruned, parallel + pruned Algorithm 2,
+            // then the serial D&C kernel.
+            let variants = [
+                (Kernel::Optimized, 1, false),
+                (Kernel::Optimized, threads, false),
+                (Kernel::Optimized, 1, true),
+                (Kernel::Optimized, threads, true),
+                (Kernel::Dc, 1, false),
+            ];
+            let runs = median_runs(&variants, |(kernel, threads, prune)| {
+                let opts = ParallelOpts { threads, prune, chunk: 0 };
                 let t = Instant::now();
-                let (sol, _) = solve(Kernel::Optimized, &table, &view, n, opts).unwrap();
+                let (sol, _) = solve(kernel, &table, &view, n, &opts).unwrap();
                 (t.elapsed().as_secs_f64(), sol)
-            };
-            let (serial_secs, base) =
-                time(&ParallelOpts { threads: 1, prune: false, chunk: 0 });
-            let (parallel_secs, par) =
-                time(&ParallelOpts { threads, prune: false, chunk: 0 });
-            let (pruned_secs, pru) = time(&ParallelOpts { threads: 1, prune: true, chunk: 0 });
-            let (parallel_pruned_secs, both) =
-                time(&ParallelOpts { threads, prune: true, chunk: 0 });
-            let t = Instant::now();
-            let (dc, _) = solve(
-                Kernel::Dc,
-                &table,
-                &view,
-                n,
-                &ParallelOpts { threads: 1, prune: false, chunk: 0 },
-            )
-            .unwrap();
-            let dc_secs = t.elapsed().as_secs_f64();
-            let identical = [&par, &pru, &both, &dc].iter().all(|s| {
+            });
+            let base = &runs[0].1[0];
+            let identical = runs.iter().flat_map(|(_, sols)| sols).all(|s| {
                 s.counts == base.counts && s.makespan.to_bits() == base.makespan.to_bits()
             });
             DpPerfRow {
                 n,
                 p,
-                serial_secs,
-                parallel_secs,
-                pruned_secs,
-                parallel_pruned_secs,
-                dc_secs,
+                serial_secs: runs[0].0,
+                parallel_secs: runs[1].0,
+                pruned_secs: runs[2].0,
+                parallel_pruned_secs: runs[3].0,
+                dc_secs: runs[4].0,
                 identical,
                 makespan: base.makespan,
             }
@@ -264,9 +288,9 @@ pub fn dp_perf_trajectory(cases: &[(usize, usize)], threads: usize) -> Vec<DpPer
 
 /// Cold exact plans at one Table-1 point through [`Planner`]: the banded
 /// default for Algorithm 2 and the D&C kernel at 1 and 2 threads, each
-/// checked bit-identical against one full-plane (`prune(false)`) D&C
-/// plan. "Cold" means every plan tabulates its costs afresh, as an
-/// uncached `gs plan` does.
+/// checked bit-identical against the full-plane (`prune(false)`) D&C
+/// plan. "Cold" means no plan shares a cost table, as an uncached
+/// `gs plan` does. Every time is the median of [`DP_REPS`] plans.
 #[derive(Debug, Clone)]
 pub struct BandRow {
     /// Problem size (items).
@@ -320,17 +344,25 @@ pub fn dp_band_row(n: usize, p: usize) -> BandRow {
             .unwrap_or(0);
         (secs, plan, bytes)
     };
-    let (full_dc_secs, reference, full_plane_bytes) = plan(Strategy::ExactDc, 1, false);
-    let before = fallbacks();
-    let runs = [
-        plan(Strategy::Exact, 1, true),
-        plan(Strategy::Exact, 2, true),
-        plan(Strategy::ExactDc, 1, true),
-        plan(Strategy::ExactDc, 2, true),
+    // The full-plane reference first, then the banded plans.
+    let variants = [
+        (Strategy::ExactDc, 1, false),
+        (Strategy::Exact, 1, true),
+        (Strategy::Exact, 2, true),
+        (Strategy::ExactDc, 1, true),
+        (Strategy::ExactDc, 2, true),
     ];
+    let before = fallbacks();
+    let runs = median_runs(&variants, |(strategy, threads, prune)| {
+        let (secs, plan, bytes) = plan(strategy, threads, prune);
+        (secs, (plan, bytes))
+    });
     let band_fallbacks = fallbacks() - before;
     span::set_enabled(was_tracing);
-    let identical = runs.iter().all(|(_, plan, _)| {
+    let (full_dc_secs, full) = &runs[0];
+    let (reference, full_plane_bytes) = &full[0];
+    let banded = || runs[1..].iter().flat_map(|(_, plans)| plans);
+    let identical = banded().all(|(plan, _)| {
         plan.counts == reference.counts
             && plan.predicted_makespan.to_bits() == reference.predicted_makespan.to_bits()
             && plan.timing.pruned
@@ -338,13 +370,13 @@ pub fn dp_band_row(n: usize, p: usize) -> BandRow {
     BandRow {
         n,
         p,
-        exact_secs: runs[0].0,
-        exact_2t_secs: runs[1].0,
-        dc_secs: runs[2].0,
-        dc_2t_secs: runs[3].0,
-        full_dc_secs,
-        band_plane_bytes: runs.iter().map(|r| r.2).max().unwrap_or(0),
-        full_plane_bytes,
+        exact_secs: runs[1].0,
+        exact_2t_secs: runs[2].0,
+        dc_secs: runs[3].0,
+        dc_2t_secs: runs[4].0,
+        full_dc_secs: *full_dc_secs,
+        band_plane_bytes: banded().map(|&(_, bytes)| bytes).max().unwrap_or(0),
+        full_plane_bytes: *full_plane_bytes,
         band_fallbacks,
         identical,
         makespan: reference.predicted_makespan,

@@ -152,7 +152,9 @@ fn render_plan_timing(t: &gs_scatter::obs::PlanTiming) -> String {
         line.push_str(", pruned");
     }
     line.push(')');
-    if t.cache_hits + t.cache_misses > 0 {
+    // Every DP solve (`exact`, `exact-basic`, `exact-dc`) has the split,
+    // a banded one with no tabulation and no table lookups.
+    if t.strategy.starts_with("exact") {
         line.push_str(&format!(
             " — tabulate {:.3} ms, solve {:.3} ms, cache {}/{} hits",
             t.tabulate_secs * 1e3,

@@ -12,30 +12,43 @@
 //!
 //! [`optimized_cell`] generalizes Algorithm 2's cell to a candidate
 //! window `lo..=lim`: with `(lo, lim) = (0, d)` it reduces exactly to the
-//! paper's Algorithm 2, and the upper-bound pruning path narrows the
-//! window without disturbing the operations performed inside it.
+//! paper's Algorithm 2, and the band narrows the window without
+//! disturbing the operations performed inside it.
 //!
-//! The divide-and-conquer kernel exploits a sharper structural fact.
-//! Define the **crossing point** `c(d)` = the smallest `e ∈ 0..=d` with
-//! `Tcomp(i,e) >= cost[d-e, i+1]` (`d + 1` when no such `e` exists).
-//! When `Tcomp` is non-decreasing and the previous column is
+//! The faster sweeps exploit a sharper structural fact. Define the
+//! **crossing point** `c(d)` = the smallest candidate `e` of cell `d`
+//! with `Tcomp(i,e) >= cost[d-e, i+1]` (`lim + 1` when no such `e`
+//! exists). When `Tcomp` is non-decreasing and the previous column is
 //! non-decreasing — which every column of the DP is, by induction, for
 //! non-decreasing cost functions — the crossing is monotone and moves by
-//! at most one step per cell: `c(d) <= c(d+1) <= c(d) + 1`. Algorithm
-//! 2's per-cell binary search re-derives `c(d)` from scratch
-//! (`O(log n)` cache-hostile probes per cell); [`dc_chunk`] instead
-//! recovers all crossings of a cell range by divide and conquer over
-//! ever-narrowing windows, `O(n + log n)` probes per chunk in total, and
-//! then evaluates each cell with [`dc_cell`] — which performs *exactly*
+//! at most one step per cell: `c(d) <= c(d+1) <= c(d) + 1`, once clamped
+//! to the window's lower edge (which also rises by at most one).
+//! Algorithm 2's per-cell binary search re-derives `c(d)` from scratch
+//! (`O(log n)` cache-hostile probes per cell); [`sweep`] instead fills a
+//! run of cells in ascending order at one probe per cell. It fills every
+//! chunk of a banded column, binary-searching only the chunk's first
+//! cell, and the leaves of the full plane's divide-and-conquer kernel
+//! ([`dc_chunk`]), which first narrows the crossings of a cell range by
+//! divide and conquer, `O(n + log n)` probes per chunk in total. Every
+//! cell is then evaluated by [`crossing_cell`], which performs *exactly*
 //! the candidate comparisons Algorithm 2's cell performs after its
 //! binary search, so values, choices and tie-breaks stay bit-identical.
+//! A banded column whose previous column is not non-decreasing (a
+//! floating-point surprise, not an expected input) binary-searches every
+//! cell instead ([`Crossing::of`]).
 //!
-//! Both cells end in one shared downward scan ([`scan_down`]) over the
+//! Every cell ends in one shared downward scan ([`scan_down`]) over the
 //! candidates below the crossing, where the suffix dominates. Algorithm
 //! 2 stops it once `Tcomm(i,lo) + suffix` alone reaches the incumbent,
 //! which on a full plane can take hundreds of candidates; the shared
 //! scan also skips whole blocks of candidates whose lower bound reaches
 //! the incumbent, without changing which candidate wins.
+//!
+//! Cells, crossings and scans are generic over how a cost is read
+//! ([`Cost`]): from a tabulated slice on the full plane, or evaluated in
+//! the cell ([`InCell`]) in the band, whose costs are all affine. The
+//! in-cell formula is the one a tabulation evaluates, so both read the
+//! same bits, and a banded solve tabulates nothing.
 //!
 //! All three kernels write into one [`DpPlane`]: two flat buffers (an
 //! `f64` cost and a `u32` backtrack per cell) holding each column as a
@@ -47,6 +60,8 @@
 //! [`crate::planner::PlanCache`]): a banded plane's reused columns are
 //! the first ones it appended, so a warm start truncates the buffers
 //! after them and keeps appending.
+
+use crate::cost::CostFn;
 
 /// The largest supported item count: counts are reconstructed through a
 /// `u32` choice table.
@@ -303,15 +318,83 @@ impl Drop for DpPlane {
     }
 }
 
+/// How a kernel reads one processor's cost at an item count: a tabulated
+/// slice on the full plane, or an [`InCell`] affine cost in the band.
+/// Every cell, crossing and scan below is generic over it, so both
+/// layouts run the same bodies.
+pub(crate) trait Cost: Copy {
+    /// The cost of `x` items.
+    fn at(self, x: usize) -> f64;
+
+    /// This cost, read only at counts `..=last`: a slice hint that lets
+    /// the optimizer hoist bounds checks out of a hot loop.
+    fn upto(self, last: usize) -> Self;
+}
+
+impl Cost for &[f64] {
+    #[inline(always)]
+    fn at(self, x: usize) -> f64 {
+        self[x]
+    }
+
+    #[inline(always)]
+    fn upto(self, last: usize) -> Self {
+        &self[..=last]
+    }
+}
+
+/// An affine cost evaluated in the cell instead of read from a table.
+///
+/// [`Cost::at`] is `intercept + slope * x as f64`, [`CostFn::eval`]'s
+/// expression for `Affine`, with no fused multiply-add, so every value
+/// has the bits a tabulation of the same function holds. `Zero` and
+/// `Linear` get the intercept `-0.0`: `y + -0.0` is `y` bit for bit for
+/// every `y`, signed zeros included, so the one branch-free expression
+/// also reproduces `Linear`'s `slope * x as f64` and `Zero`'s `0.0`.
+/// The count converts through `i64`: the same value for every count up
+/// to [`MAX_ITEMS`], in one instruction where an unsigned conversion
+/// takes several (~10% of a banded Table-1 solve).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct InCell {
+    intercept: f64,
+    slope: f64,
+}
+
+impl InCell {
+    /// `f` evaluated in the cell, `None` when it is not affine.
+    pub fn new(f: &CostFn) -> Option<InCell> {
+        let (intercept, slope) = match *f {
+            CostFn::Zero => (-0.0, 0.0),
+            CostFn::Linear { slope } => (-0.0, slope),
+            CostFn::Affine { intercept, slope } => (intercept, slope),
+            CostFn::Table { .. } | CostFn::Custom(_) => return None,
+        };
+        Some(InCell { intercept, slope })
+    }
+}
+
+impl Cost for InCell {
+    #[inline(always)]
+    fn at(self, x: usize) -> f64 {
+        debug_assert!(x <= MAX_ITEMS);
+        self.intercept + self.slope * (x as i64) as f64
+    }
+
+    #[inline(always)]
+    fn upto(self, _: usize) -> Self {
+        self
+    }
+}
+
 /// One Algorithm-1 cell: scan every candidate `e ∈ 0..=d`.
 ///
 /// Returns `(cost[d, i], choice[d, i])`.
 #[inline]
-pub(crate) fn basic_cell(comm: &[f64], comp: &[f64], prev: &[f64], d: usize) -> (f64, u32) {
+pub(crate) fn basic_cell<C: Cost>(comm: C, comp: C, prev: &[f64], d: usize) -> (f64, u32) {
     let mut best_e = 0usize;
     let mut best = f64::INFINITY;
     for e in 0..=d {
-        let m = comm[e] + f64::max(comp[e], prev[d - e]);
+        let m = comm.at(e) + f64::max(comp.at(e), prev[d - e]);
         if m < best {
             best = m;
             best_e = e;
@@ -339,26 +422,27 @@ pub(crate) fn basic_cell(comm: &[f64], comp: &[f64], prev: &[f64], d: usize) -> 
 ///    Algorithm 2's `suffix >= min`; a narrower window stops sooner, and
 ///    since only a strictly smaller candidate replaces the incumbent the
 ///    answer and its tie-break are unchanged.
+///
+/// The three cases locate the crossing point; [`crossing_cell`] then
+/// evaluates the cell from it.
 #[inline]
-pub(crate) fn optimized_cell(
-    comm: &[f64],
-    comp: &[f64],
+pub(crate) fn optimized_cell<C: Cost>(
+    comm: C,
+    comp: C,
     prev: &[f64],
     d: usize,
     lo: usize,
     lim: usize,
 ) -> (f64, u32) {
     debug_assert!(lo <= lim && lim <= d);
-    let (sol, min);
-    if comp[lo] >= prev[d - lo] {
+    let c = if comp.at(lo) >= prev[d - lo] {
         // Even the smallest candidate computes no sooner than the suffix:
         // the max is always Tcomp, so the best move is e = lo.
-        return (comm[lo] + comp[lo], lo as u32);
-    } else if comp[lim] < prev[d - lim] {
+        lo
+    } else if comp.at(lim) < prev[d - lim] {
         // Even the largest candidate computes faster than the smallest
         // suffix: the max is always the suffix cost.
-        sol = lim;
-        min = comm[lim] + prev[d - lim];
+        lim + 1
     } else {
         // Binary search for the smallest e with
         // Tcomp(i,e) >= cost[d-e, i+1]; the invariant holds at the
@@ -366,17 +450,16 @@ pub(crate) fn optimized_cell(
         let (mut emin, mut emax) = (lo, lim);
         let mut e = (lo + lim) / 2;
         while e != emin {
-            if comp[e] < prev[d - e] {
+            if comp.at(e) < prev[d - e] {
                 emin = e;
             } else {
                 emax = e;
             }
             e = (emin + emax) / 2;
         }
-        sol = emax;
-        min = comm[emax] + comp[emax];
-    }
-    scan_down(comm, prev, d, lo, sol, min)
+        emax
+    };
+    crossing_cell(comm, comp, prev, d, lo, lim, c)
 }
 
 /// Candidates [`scan_down`] evaluates one by one before it starts
@@ -398,28 +481,28 @@ const PLAIN_SCAN: usize = 4;
 /// `Tcomm(i,lo) + suffix >= min`. After the first [`PLAIN_SCAN`]
 /// candidates, the scan may also skip a whole block `a..e` of the
 /// remaining candidates at once: `comm[a] + prev[d-(e-1)]` is a lower
-/// bound on every candidate in it (both tables are non-decreasing and
-/// rounded addition is monotone), so when that bound reaches `min` none
-/// of them can be strictly smaller. Each skip doubles the block, each
-/// candidate evaluated instead halves it. On full planes the exit must
-/// wait for the suffix alone to reach `min`: on Table 1 at n = 200,000
-/// that is ~365 candidates per cell, which the blocks cut to ~12 probes.
+/// bound on every candidate in it (both are non-decreasing and rounded
+/// addition is monotone), so when that bound reaches `min` none of them
+/// can be strictly smaller. Each skip doubles the block, each candidate
+/// evaluated instead halves it. On full planes the exit must wait for
+/// the suffix alone to reach `min`: on Table 1 at n = 200,000 that is
+/// ~365 candidates per cell, which the blocks cut to ~12 probes.
 #[inline(always)]
-fn scan_down(
-    comm: &[f64],
+fn scan_down<C: Cost>(
+    comm: C,
     prev: &[f64],
     d: usize,
     lo: usize,
     mut sol: usize,
     mut min: f64,
 ) -> (f64, u32) {
-    let floor = comm[lo];
+    let floor = comm.at(lo);
     let mut e = sol;
     let plain_end = sol.saturating_sub(PLAIN_SCAN).max(lo);
     while e > plain_end {
         e -= 1;
         let suffix = prev[d - e];
-        let m = comm[e] + suffix;
+        let m = comm.at(e) + suffix;
         if m < min {
             sol = e;
             min = m;
@@ -435,12 +518,12 @@ fn scan_down(
             break;
         }
         let a = e.saturating_sub(block).max(lo);
-        if comm[a] + suffix >= min {
+        if comm.at(a) + suffix >= min {
             e = a;
             block *= 2;
         } else {
             e -= 1;
-            let m = comm[e] + suffix;
+            let m = comm.at(e) + suffix;
             if m < min {
                 sol = e;
                 min = m;
@@ -456,12 +539,12 @@ fn scan_down(
 /// over the range (false… then true…), which holds whenever `comp` and
 /// `prev` are non-decreasing.
 #[inline]
-pub(crate) fn crossing(comp: &[f64], prev: &[f64], d: usize, lo: usize, hi: usize) -> usize {
+pub(crate) fn crossing<C: Cost>(comp: C, prev: &[f64], d: usize, lo: usize, hi: usize) -> usize {
     debug_assert!(lo <= hi + 1 && hi <= d);
     let (mut a, mut b) = (lo, hi + 1);
     while a < b {
         let m = (a + b) / 2;
-        if comp[m] >= prev[d - m] {
+        if comp.at(m) >= prev[d - m] {
             b = m;
         } else {
             a = m + 1;
@@ -470,29 +553,151 @@ pub(crate) fn crossing(comp: &[f64], prev: &[f64], d: usize, lo: usize, hi: usiz
     a
 }
 
-/// One divide-and-conquer cell, given its crossing point `c`
-/// (`c > d` encodes "no crossing"). Performs exactly the comparisons
-/// [`optimized_cell`] performs over the full window `0..=d` once its
-/// binary search has located `c`, so the result — value, choice and
-/// tie-break — is bit-identical to Algorithm 2's cell. Always inlined:
-/// it is the body of [`dc_leaf`]'s hot loop, whose slice hints only pay
-/// off when the scan is compiled into it.
+/// One cell over the candidate window `lo..=lim`, given its crossing
+/// point `c` (`c > lim` encodes "no crossing"). Performs exactly the
+/// comparisons [`optimized_cell`] performs once it has located `c`, so
+/// the result — value, choice and tie-break — is bit-identical to
+/// Algorithm 2's cell. Always inlined: it is the body of [`sweep`]'s hot
+/// loop, whose slice hints only pay off when the scan is compiled into
+/// it.
 #[inline(always)]
-pub(crate) fn dc_cell(comm: &[f64], comp: &[f64], prev: &[f64], d: usize, c: usize) -> (f64, u32) {
-    let (sol, min);
-    if c > d {
+fn crossing_cell<C: Cost>(
+    comm: C,
+    comp: C,
+    prev: &[f64],
+    d: usize,
+    lo: usize,
+    lim: usize,
+    c: usize,
+) -> (f64, u32) {
+    let (sol, min) = if c > lim {
         // The suffix dominates even at the largest candidate.
-        sol = d;
-        min = comm[d] + prev[0];
+        (lim, comm.at(lim) + prev[d - lim])
     } else {
-        sol = c;
-        min = comm[c] + comp[c];
-    }
-    scan_down(comm, prev, d, 0, sol, min)
+        (c, comm.at(c) + comp.at(c))
+    };
+    scan_down(comm, prev, d, lo, sol, min)
 }
 
-/// Fills the cells `start .. start + cost.len()` of one column by
-/// divide and conquer over the monotone crossing point.
+/// Whether `prev` is non-decreasing: the premise of every crossing-based
+/// kernel (a `NaN` breaks no pair, as in the D&C column check).
+pub(crate) fn non_decreasing(prev: &[f64]) -> bool {
+    !prev.windows(2).any(|w| w[1] < w[0])
+}
+
+/// How [`sweep`] finds each cell's crossing point.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Crossing {
+    /// Step it from cell to cell, starting from this crossing of the
+    /// first cell.
+    From(usize),
+    /// Step it from cell to cell, binary-searching the first cell's.
+    Step,
+    /// Binary-search it in every cell, as [`optimized_cell`] does.
+    PerCell,
+}
+
+impl Crossing {
+    /// How a column whose previous column holds `prev` finds its
+    /// crossings: stepping needs `prev` non-decreasing, else each cell
+    /// searches its own.
+    pub fn of(prev: &[f64]) -> Crossing {
+        if non_decreasing(prev) {
+            Crossing::Step
+        } else {
+            Crossing::PerCell
+        }
+    }
+}
+
+/// The candidate window `lo(d)..=lim(d)` of each cell `d` of a column
+/// whose processor takes at most `cap` items and whose previous column
+/// holds cells `0..=held`: from the smallest count that lands on a held
+/// cell, `d − min(d, held)`, up to `min(d, cap)`. Both edges rise by at
+/// most one per cell, and the window is empty (`lo > lim`) only on a
+/// column's tail, where no candidate is live.
+#[inline(always)]
+pub(crate) fn window(held: usize, cap: usize) -> impl Fn(usize) -> (usize, usize) + Copy {
+    move |d| (d.saturating_sub(held), d.min(cap))
+}
+
+/// Fills the cells `first..=last` of one column (`cost[0]` is cell
+/// `first`) in ascending order over the candidate windows `window(d)`
+/// (see [`window`]; the full plane's D&C leaf passes `0..=d`), and
+/// returns how many cells it evaluated. A cell with an empty window is
+/// `+inf`.
+///
+/// Unless `mode` is [`Crossing::PerCell`], the sweep takes one crossing
+/// probe per cell. With `comp` and `prev` non-decreasing, a candidate
+/// below cell `d`'s crossing is still below it at `d + 1` (its suffix
+/// only grew), and the candidate after the crossing crosses at `d + 1`
+/// (it meets the same suffix with a larger `Tcomp`). So `c(d+1)` is
+/// `max(c(d), lo(d+1))` or one more, and one probe decides which, with
+/// `lim + 1` meaning "no crossing" throughout. Each cell then runs
+/// [`crossing_cell`], making exactly [`optimized_cell`]'s comparisons.
+///
+/// The sweep stops after the first value above `bound` and writes `+inf`
+/// to the cells after it: column values are non-decreasing in `d`, so
+/// those are above it too.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+pub(crate) fn sweep<C: Cost>(
+    comm: C,
+    comp: C,
+    prev: &[f64],
+    window: impl Fn(usize) -> (usize, usize),
+    (first, last): (usize, usize),
+    mode: Crossing,
+    bound: f64,
+    cost: &mut [f64],
+    choice: &mut [u32],
+) -> usize {
+    debug_assert!(first <= last && cost.len() == last - first + 1 && choice.len() == cost.len());
+    let mut c = match mode {
+        Crossing::From(c) => c,
+        Crossing::Step => {
+            let (lo, lim) = window(first);
+            if lo > lim {
+                lo
+            } else {
+                crossing(comp, prev, first, lo, lim)
+            }
+        }
+        Crossing::PerCell => 0,
+    };
+    // The loop runs over `d` up to `last` (not over `cost`), so that the
+    // D&C leaf's optimizer sees every `prev` index below `prev.len()`.
+    for d in first..=last {
+        let (lo, lim) = window(d);
+        let (v, e) = if lo > lim {
+            (f64::INFINITY, 0)
+        } else if mode == Crossing::PerCell {
+            optimized_cell(comm, comp, prev, d, lo, lim)
+        } else {
+            if d > first {
+                // Step `c(d − 1)` to `c(d)`. Branchless: the predicate
+                // flips in a data-dependent pattern, so a compare-and-add
+                // beats a mispredicting branch.
+                c = c.max(lo);
+                if c <= lim {
+                    c += usize::from(comp.at(c) < prev[d - c]);
+                }
+            }
+            crossing_cell(comm, comp, prev, d, lo, lim, c)
+        };
+        let k = d - first;
+        cost[k] = v;
+        choice[k] = e;
+        if v > bound {
+            cost[k + 1..].fill(f64::INFINITY);
+            return k + 1;
+        }
+    }
+    cost.len()
+}
+
+/// Fills the cells `start .. start + cost.len()` of one full-plane
+/// column by divide and conquer over the monotone crossing point.
 ///
 /// Two boundary binary searches pin down `c(start)` and `c(end)`; the
 /// recursion then computes the middle cell's crossing inside
@@ -501,9 +706,9 @@ pub(crate) fn dc_cell(comm: &[f64], comp: &[f64], prev: &[f64], d: usize, c: usi
 /// comparator probes on crossings instead of Algorithm 2's
 /// `O(len · log n)`. Requires `comm`, `comp` and `prev` non-decreasing
 /// (the engine checks and falls back otherwise).
-pub(crate) fn dc_chunk(
-    comm: &[f64],
-    comp: &[f64],
+pub(crate) fn dc_chunk<C: Cost>(
+    comm: C,
+    comp: C,
     prev: &[f64],
     start: usize,
     cost: &mut [f64],
@@ -531,9 +736,9 @@ const DC_LEAF: usize = 4096;
 /// `clo <= c(s)` and (`c(t) <= chi` or `c(t) = t + 1`). `base` is the
 /// cell index of `cost[0]`/`choice[0]`.
 #[allow(clippy::too_many_arguments)]
-fn dc_range(
-    comm: &[f64],
-    comp: &[f64],
+fn dc_range<C: Cost>(
+    comm: C,
+    comp: C,
     prev: &[f64],
     s: usize,
     t: usize,
@@ -557,7 +762,7 @@ fn dc_range(
     if c > hi {
         c = mid + 1;
     }
-    let (v, e) = dc_cell(comm, comp, prev, mid, c);
+    let (v, e) = crossing_cell(comm, comp, prev, mid, 0, mid, c);
     cost[mid - base] = v;
     choice[mid - base] = e;
     if mid > s {
@@ -568,20 +773,16 @@ fn dc_range(
     }
 }
 
-/// Sequential leaf of the divide-and-conquer recursion: solves cells
-/// `s..=t` in increasing order, advancing the crossing point by the
-/// stronger stepwise bound `c(d) <= c(d+1) <= c(d) + 1` (both
-/// inequalities follow from `comp` and `prev` being non-decreasing, the
-/// same premise as the recursion's monotonicity). One boundary binary
-/// search pins `c(s)` inside the inherited window `[clo, chi]`; every
-/// later cell then needs exactly **one** comparator probe, in
-/// near-sequential memory order — this sweep is where the kernel's
-/// speed over Algorithm 2's per-cell `O(log n)` random-access binary
-/// searches actually comes from.
+/// Sequential leaf of the divide-and-conquer recursion: one boundary
+/// binary search pins `c(s)` inside the inherited window `[clo, chi]`,
+/// then [`sweep`] solves cells `s..=t` at **one** comparator probe per
+/// cell, in near-sequential memory order — this sweep is where the
+/// kernel's speed over Algorithm 2's per-cell `O(log n)` random-access
+/// binary searches actually comes from.
 #[allow(clippy::too_many_arguments)]
-fn dc_leaf(
-    comm: &[f64],
-    comp: &[f64],
+fn dc_leaf<C: Cost>(
+    comm: C,
+    comp: C,
     prev: &[f64],
     s: usize,
     t: usize,
@@ -593,35 +794,15 @@ fn dc_leaf(
 ) {
     // Slice hints: every index below is `<= t`, which lets the
     // optimizer hoist the bounds checks out of the hot loop.
-    let comm = &comm[..=t];
-    let comp = &comp[..=t];
-    let prev = &prev[..=t];
+    let (comm, comp, prev) = (comm.upto(t), comp.upto(t), &prev[..=t]);
     let hi = chi.min(s);
     let mut c = if clo > hi { hi + 1 } else { crossing(comp, prev, s, clo, hi) };
     if c > hi {
         c = s + 1;
     }
-    let (v, e) = dc_cell(comm, comp, prev, s, c);
-    cost[s - base] = v;
-    choice[s - base] = e;
-    for d in s + 1..=t {
-        // `c` is `c(d − 1) ∈ [0, d]`; step it to `c(d) ∈ {c, c + 1}`.
-        if c >= d {
-            // No crossing at `d − 1` (`c == d`): test the one new
-            // candidate `e = d`.
-            c = if comp[d] >= prev[0] { d } else { d + 1 };
-        } else {
-            // The suffix grew past `Tcomp` at the old crossing iff the
-            // predicate below holds; the stepwise bound guarantees
-            // `c + 1 <= d` crosses then. Branchless: the predicate flips
-            // in a data-dependent pattern, so a compare-and-add beats a
-            // mispredicting branch.
-            c += usize::from(comp[c] < prev[d - c]);
-        }
-        let (v, e) = dc_cell(comm, comp, prev, d, c);
-        cost[d - base] = v;
-        choice[d - base] = e;
-    }
+    let cells = s - base..=t - base;
+    let (cost, choice) = (&mut cost[cells.clone()], &mut choice[cells]);
+    sweep(comm, comp, prev, |d| (0, d), (s, t), Crossing::From(c), f64::INFINITY, cost, choice);
 }
 
 #[cfg(test)]
@@ -652,7 +833,7 @@ mod tests {
         for d in 0..=20usize {
             for lo in 0..=d {
                 for lim in lo..=d {
-                    let (v, e) = optimized_cell(&comm, &comp, &prev, d, lo, lim);
+                    let (v, e) = optimized_cell(&comm[..], &comp[..], &prev, d, lo, lim);
                     let want = exhaustive_cell(&comm, &comp, &prev, d, lo, lim);
                     assert_eq!(v, want, "d={d} lo={lo} lim={lim}");
                     assert!((lo..=lim).contains(&(e as usize)));
@@ -666,7 +847,7 @@ mod tests {
         let comm = [0.0, 1.0, 2.0, 3.0];
         let comp = [5.0, 1.0, 0.5, 7.0]; // non-monotone is fine for Alg. 1
         let prev = [0.0, 2.0, 4.0, 6.0];
-        let (v, e) = basic_cell(&comm, &comp, &prev, 3);
+        let (v, e) = basic_cell(&comm[..], &comp[..], &prev, 3);
         let want = (0..=3)
             .map(|e| comm[e] + f64::max(comp[e], prev[3 - e]))
             .fold(f64::INFINITY, f64::min);
@@ -680,7 +861,7 @@ mod tests {
         let prev: Vec<f64> = (0..=30).map(|x| 0.25 * x as f64 + 1.0).collect();
         for d in 0..=30usize {
             let want = (0..=d).find(|&e| comp[e] >= prev[d - e]).unwrap_or(d + 1);
-            assert_eq!(crossing(&comp, &prev, d, 0, d), want, "d={d}");
+            assert_eq!(crossing(&comp[..], &prev, d, 0, d), want, "d={d}");
         }
     }
 
@@ -714,8 +895,8 @@ mod tests {
             for start in (0..=n).step_by(chunk) {
                 let len = chunk.min(n + 1 - start);
                 dc_chunk(
-                    &comm,
-                    &comp,
+                    &comm[..],
+                    &comp[..],
                     &prev,
                     start,
                     &mut cost[start..start + len],
@@ -723,7 +904,7 @@ mod tests {
                 );
             }
             for d in 0..=n {
-                let (v, e) = optimized_cell(&comm, &comp, &prev, d, 0, d);
+                let (v, e) = optimized_cell(&comm[..], &comp[..], &prev, d, 0, d);
                 assert_eq!(cost[d].to_bits(), v.to_bits(), "chunk={chunk} d={d}");
                 assert_eq!(choice[d], e, "chunk={chunk} d={d}");
             }
@@ -774,7 +955,7 @@ mod tests {
         let comm = [0.0, 0.0, 0.0];
         let comp = [1.0, 1.0, 1.0];
         let prev = [1.0, 1.0, 1.0];
-        let (v, e) = optimized_cell(&comm, &comp, &prev, 2, 0, 2);
+        let (v, e) = optimized_cell(&comm[..], &comp[..], &prev, 2, 0, 2);
         assert_eq!(v, 1.0);
         // comp[0] >= prev[2] holds, so the first branch fires with e = 0.
         assert_eq!(e, 0);
@@ -860,7 +1041,7 @@ mod tests {
                 _ => f64::INFINITY,
             };
             let (want, want_e, visited) = one_step_scan(&comm, &prev, d, lo, sol, min);
-            let (got, got_e) = scan_down(&comm, &prev, d, lo, sol, min);
+            let (got, got_e) = scan_down(&comm[..], &prev, d, lo, sol, min);
             assert_eq!(
                 (got.to_bits(), got_e),
                 (want.to_bits(), want_e),
@@ -870,5 +1051,164 @@ mod tests {
             cases += 1;
         }
         assert!(long > cases / 20, "only {long} of {cases} scans outran the plain prefix");
+    }
+
+    /// [`sweep`]'s per-cell reference: each cell binary-searches its own
+    /// crossing with [`optimized_cell`] over its window (`+inf` when the
+    /// window is empty), and the column stops after the first value
+    /// above `bound`, leaving the cells after it `+inf`.
+    fn per_cell<C: Cost>(
+        comm: C,
+        comp: C,
+        prev: &[f64],
+        cap: usize,
+        first: usize,
+        bound: f64,
+        len: usize,
+    ) -> (Vec<f64>, Vec<u32>, usize) {
+        let held = prev.len() - 1;
+        let (mut cost, mut choice) = (vec![f64::INFINITY; len], vec![0u32; len]);
+        for k in 0..len {
+            let d = first + k;
+            let (lo, lim) = (d.saturating_sub(held), d.min(cap));
+            if lo <= lim {
+                (cost[k], choice[k]) = optimized_cell(comm, comp, prev, d, lo, lim);
+            }
+            if cost[k] > bound {
+                return (cost, choice, k + 1);
+            }
+        }
+        (cost, choice, len)
+    }
+
+    /// `sweep` over one chunk as the engine runs it (the crossing mode
+    /// picked by [`Crossing::of`]) against [`per_cell`], bit for bit;
+    /// returns whether plain stepping would have disagreed.
+    #[allow(clippy::too_many_arguments)]
+    fn check_sweep<C: Cost + std::fmt::Debug>(
+        comm: C,
+        comp: C,
+        prev: &[f64],
+        cap: usize,
+        first: usize,
+        len: usize,
+        bound: f64,
+        case: usize,
+    ) -> bool {
+        let run = |mode| {
+            let (mut cost, mut choice) = (vec![f64::NAN; len], vec![0u32; len]);
+            let (window, cells) = (window(prev.len() - 1, cap), (first, first + len - 1));
+            let done = sweep(comm, comp, prev, window, cells, mode, bound, &mut cost, &mut choice);
+            (cost, choice, done)
+        };
+        let bits = |(cost, choice, done): (Vec<f64>, Vec<u32>, usize)| {
+            (cost.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), choice, done)
+        };
+        let want = bits(per_cell(comm, comp, prev, cap, first, bound, len));
+        let got = bits(run(Crossing::of(prev)));
+        assert_eq!(
+            got, want,
+            "case {case}: first={first} cap={cap} bound={bound} {comm:?} {comp:?}"
+        );
+        bits(run(Crossing::Step)) != want
+    }
+
+    /// A [`ramp`] with steps of up to `max_step` and random plateaus.
+    fn random_ramp(rng: &mut u64, len: usize, max_step: u64) -> Vec<f64> {
+        let (step, zero_in) = (1 + draw(rng, max_step), 1 + draw(rng, 4));
+        ramp(rng, len, step, zero_in)
+    }
+
+    #[test]
+    fn stepped_sweep_is_bit_identical_to_the_per_cell_search() {
+        let rng = &mut 0x853c49e6748fea9bu64;
+        let unit = |rng: &mut u64| draw(rng, 1 << 20) as f64 / (1 << 20) as f64;
+        let (mut shifted, mut capped, mut stopped, mut fallbacks, mut diverged) = (0, 0, 0, 0, 0);
+        for case in 0..30_000 {
+            // The previous column's held cells: plateaus give exact ties,
+            // an `+inf` tail stands for cells past the bound, and a dip
+            // makes the column one stepping must not trust.
+            let cells = 1 + draw(rng, 300) as usize;
+            let mut prev = random_ramp(rng, cells, 30);
+            if cells > 1 && draw(rng, 5) == 0 {
+                let j = 1 + draw(rng, cells as u64 - 1) as usize;
+                prev[j] = prev[j - 1] - 1.0 - draw(rng, 40) as f64;
+                fallbacks += 1;
+            }
+            if draw(rng, 4) == 0 {
+                let tail = 1 + draw(rng, cells as u64) as usize;
+                prev[tail.min(cells)..].fill(f64::INFINITY);
+            }
+            // Windows `d - (cells - 1) ..= min(d, cap)`: chunks start
+            // anywhere up to one past the last cell with a candidate.
+            let cap = draw(rng, 400) as usize;
+            let first = draw(rng, (cells + cap + 1) as u64) as usize;
+            let len = 1 + draw(rng, 200) as usize;
+            shifted += usize::from(first + len > cells);
+            capped += usize::from(first + len > cap + 1);
+            let mono = !prev.windows(2).any(|w| w[1] < w[0]);
+            let disagrees = if draw(rng, 3) == 0 {
+                // Affine costs read in the cell, as the band does.
+                let mut affine = |scale: f64| {
+                    let (intercept, slope) = (unit(rng) * 4.0, unit(rng) * scale);
+                    InCell::new(&CostFn::Affine { intercept, slope }).unwrap()
+                };
+                let (comm, comp) = (affine(2.0), affine(40.0));
+                let full = per_cell(comm, comp, &prev, cap, first, f64::INFINITY, len).0;
+                let bound = match draw(rng, 3) {
+                    0 => f64::INFINITY,
+                    _ => full[draw(rng, len as u64) as usize],
+                };
+                stopped += usize::from(bound.is_finite());
+                check_sweep(comm, comp, &prev, cap, first, len, bound, case)
+            } else {
+                let comm = random_ramp(rng, cap + 1, 3);
+                let comp = random_ramp(rng, cap + 1, 40);
+                let (comm, comp) = (&comm[..], &comp[..]);
+                let full = per_cell(comm, comp, &prev, cap, first, f64::INFINITY, len).0;
+                let bound = match draw(rng, 3) {
+                    0 => f64::INFINITY,
+                    _ => full[draw(rng, len as u64) as usize],
+                };
+                stopped += usize::from(bound.is_finite());
+                check_sweep(comm, comp, &prev, cap, first, len, bound, case)
+            };
+            assert!(mono || Crossing::of(&prev) == Crossing::PerCell, "case {case}");
+            diverged += usize::from(disagrees);
+        }
+        for (what, count) in [("lo > 0", shifted), ("capped lim", capped), ("bound", stopped)] {
+            assert!(count > 3_000, "only {count} chunks exercised {what}");
+        }
+        assert!(fallbacks > 3_000, "only {fallbacks} non-monotone columns");
+        assert!(diverged > 100, "stepping a non-monotone column diverged only {diverged} times");
+    }
+
+    #[test]
+    fn in_cell_costs_have_the_bits_of_eval() {
+        let rng = &mut 0x2545f4914f6cdd1du64;
+        let unit = |rng: &mut u64| draw(rng, 1 << 53) as f64 / (1u64 << 53) as f64;
+        let mut fns = vec![
+            CostFn::Zero,
+            CostFn::Linear { slope: 0.0 },
+            CostFn::Linear { slope: -0.0 },
+            CostFn::Affine { intercept: 0.0, slope: -0.0 },
+            CostFn::Affine { intercept: -0.0, slope: 0.0 },
+        ];
+        for _ in 0..2_000 {
+            let slope = unit(rng) * 10f64.powi(draw(rng, 16) as i32 - 12);
+            let intercept = unit(rng) * 10f64.powi(draw(rng, 8) as i32 - 4);
+            fns.push(CostFn::Linear { slope });
+            fns.push(CostFn::Affine { intercept, slope });
+        }
+        let mut xs = vec![0, 1, 2, 1_000, MAX_ITEMS - 1, MAX_ITEMS];
+        xs.extend((0..40).map(|_| draw(rng, MAX_ITEMS as u64 + 1) as usize));
+        for f in &fns {
+            let cell = InCell::new(f).expect("affine");
+            for &x in &xs {
+                assert_eq!(cell.at(x).to_bits(), f.eval(x).to_bits(), "{f:?} at {x}");
+            }
+        }
+        assert!(InCell::new(&CostFn::table(vec![(0, 0.0), (10, 1.0)])).is_none());
+        assert!(InCell::new(&CostFn::Custom(std::sync::Arc::new(|x| x as f64))).is_none());
     }
 }

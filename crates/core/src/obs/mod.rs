@@ -259,7 +259,8 @@ pub struct PlanTiming {
     pub threads: usize,
     /// Whether upper-bound pruning was active.
     pub pruned: bool,
-    /// Seconds spent tabulating cost functions (0 for non-DP strategies).
+    /// Seconds spent tabulating cost functions (0 for non-DP strategies
+    /// and for banded solves, which evaluate their costs in the cell).
     pub tabulate_secs: f64,
     /// Seconds spent in the solve proper.
     pub solve_secs: f64,

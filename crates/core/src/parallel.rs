@@ -31,9 +31,12 @@
 //!   band were ever inconsistent anyway, the engine redoes the solve on
 //!   the full plane rather than return a wrong answer. The `Band` type
 //!   documents why the answer stays bit-identical.
-//! * **Tabulation caching.** Cost tables come from a [`CostTable`], so
-//!   repeated solves (and repeated processors within one platform)
-//!   evaluate each cost function once.
+//! * **Costs read in the cell, or tabulated once.** The band runs on
+//!   affine costs only, and each cell evaluates them with the expression
+//!   a tabulation would store, so a banded solve tabulates nothing and
+//!   reads the same bits. Full-plane solves read cost tables from a
+//!   [`CostTable`], so repeated solves (and repeated processors within
+//!   one platform) evaluate each cost function once.
 //!
 //! [`solve`] also reports a [`PlanTiming`] block —
 //! tabulation vs solve split, thread count, cache statistics — which the
@@ -45,7 +48,7 @@ use std::time::Instant;
 use crate::cost::Processor;
 use crate::cost_table::CostTable;
 use crate::distribution;
-use crate::dp_kernel::{self, DpPlane, MAX_ITEMS};
+use crate::dp_kernel::{self, Cost, Crossing, DpPlane, InCell, MAX_ITEMS};
 use crate::error::PlanError;
 use crate::metrics::{Counter, Histogram, Registry};
 use crate::obs::span;
@@ -406,37 +409,61 @@ fn solve_seeded(
     let threads = resolve_threads(opts.threads);
     let hits0 = table.hits();
     let misses0 = table.misses();
+    let mut engine = Engine { kernel, n, p, threads, chunk: opts.chunk, stats: DpStats::new() };
 
     let t_band = Instant::now();
     let band = band_of(kernel, procs, n, opts, band_for);
-    let band_secs = t_band.elapsed().as_secs_f64();
-
-    // A warm start recomputes only the columns it does not reuse, so the
-    // reused processors' costs need no table when their monotonicity is
-    // analytic; otherwise they are tabulated for the exact check below.
     // [`reusable`] only admits a source plane of the solve's layout.
     debug_assert!(warm.as_ref().is_none_or(|w| w.plane.is_banded() == band.is_some()));
-    let reuse = warm.as_ref().map_or(0, |w| w.reuse);
-    debug_assert!(reuse < p, "the top column is never reused");
-    let skip = if procs[p - reuse..].iter().all(|pr| affine_non_decreasing(pr)) { reuse } else { 0 };
-    let computed = &procs[..p - skip];
-    // The band's sweep reads the costs only up to the largest count one
-    // computed column's processor can take within the bound, so only
-    // that prefix is tabulated.
-    let last = band.as_ref().map_or(n, |b| b.last(computed.len()));
+    let mut banded = None;
+    if let Some(band) = &band {
+        // The band runs on affine, non-decreasing costs only, so it reads
+        // them in the cell: no table, and no monotonicity check to make.
+        let in_cell = |f| InCell::new(f).expect("the band runs on affine costs");
+        let costs: Vec<(InCell, InCell)> =
+            procs.iter().map(|pr| (in_cell(&pr.comm), in_cell(&pr.comp))).collect();
+        let reuse = warm.as_ref().map_or(0, |w| w.reuse);
+        let mut plane = match warm.take() {
+            Some(w) => w.plane.rebase(p, n, w.reuse),
+            None => DpPlane::banded(p, n),
+        };
+        match engine.run(&costs, &mut plane, Some(band), reuse) {
+            Some(answer) => banded = Some((answer, plane, reuse)),
+            // The bound proved inconsistent (cannot happen for a
+            // correctly seeded bound; kept as a correctness net): redo
+            // on the full plane, from scratch.
+            None => engine.stats.band_fallbacks.inc(),
+        }
+    }
+    let mut solve_secs = t_band.elapsed().as_secs_f64();
+    let mut tabulate_secs = 0.0;
+    let pruned = banded.is_some();
+    let ((counts, makespan), plane, reuse) = match banded {
+        Some(answer) => answer,
+        None => {
+            // A failed banded attempt has used up its warm start. A warm
+            // start recomputes only the columns it does not reuse, so the
+            // reused processors' costs need no table when their
+            // monotonicity is analytic; otherwise they are tabulated for
+            // the exact check below.
+            let reuse = warm.as_ref().map_or(0, |w| w.reuse);
+            debug_assert!(reuse < p, "the top column is never reused");
+            let analytic = procs[p - reuse..].iter().all(|pr| affine_non_decreasing(pr));
+            let computed = &procs[..p - if analytic { reuse } else { 0 }];
 
-    let t_tab = Instant::now();
-    let tab_span = span::span("dp", "dp.tabulate");
-    let (tabs, monos) = tabulate(table, computed, last);
-    let mut run_kernel = kernel;
-    if kernel != Kernel::Basic {
-        // Exact monotonicity check on the tabulated values: Algorithm 2
-        // and the D&C recurrence both depend on it, so sampling is not
-        // enough here. The non-decreasing prefix length is cached with
-        // the tabulation, making this O(p) per solve.
-        for (i, &mono) in monos.iter().enumerate() {
-            if mono <= last {
-                if kernel == Kernel::Dc {
+            let t_tab = Instant::now();
+            let tab_span = span::span("dp", "dp.tabulate");
+            let (tabs, monos) = tabulate(table, computed, n);
+            if kernel != Kernel::Basic {
+                // Exact monotonicity check on the tabulated values:
+                // Algorithm 2 and the D&C recurrence both depend on it,
+                // so sampling is not enough here. The non-decreasing
+                // prefix length is cached with the tabulation, making
+                // this O(p) per solve.
+                if let Some(i) = monos.iter().position(|&mono| mono <= n) {
+                    if kernel == Kernel::Optimized {
+                        return Err(PlanError::NotIncreasing { proc: i });
+                    }
                     // The D&C kernel promises correctness for *arbitrary*
                     // costs: demote the whole solve to the full-scan
                     // Algorithm-1 kernel, which assumes nothing.
@@ -447,69 +474,27 @@ fn solve_seeded(
                              non-monotone cost functions",
                         )
                         .inc();
-                    run_kernel = Kernel::Basic;
-                    break;
+                    engine.kernel = Kernel::Basic;
                 }
-                return Err(PlanError::NotIncreasing { proc: i });
             }
-        }
-    }
-    drop(tab_span);
-    let tabulate_secs = t_tab.elapsed().as_secs_f64();
+            drop(tab_span);
+            tabulate_secs = t_tab.elapsed().as_secs_f64();
 
-    let t_solve = Instant::now();
-    let mut engine = Engine {
-        kernel: run_kernel,
-        tabs,
-        last,
-        n,
-        p,
-        threads,
-        chunk: opts.chunk,
-        stats: DpStats::new(),
-        span_parent: 0,
-    };
-    let sweep_span = span::span("dp", "dp.sweep");
-    engine.span_parent = sweep_span.id();
-    let mut banded = None;
-    if let Some(band) = &band {
-        let mut plane = match warm.take() {
-            Some(w) => w.plane.rebase(p, n, w.reuse),
-            None => DpPlane::banded(p, n),
-        };
-        match engine.run(&mut plane, Some(band), reuse) {
-            Some(answer) => banded = Some((answer, plane)),
-            // The bound proved inconsistent with the table (cannot
-            // happen for a correctly seeded bound; kept as a correctness
-            // net): redo on the full plane, from scratch.
-            None => engine.stats.band_fallbacks.inc(),
-        }
-    }
-    let pruned = banded.is_some();
-    let ((counts, makespan), plane, reuse) = match banded {
-        Some((answer, plane)) => (answer, plane, reuse),
-        None => {
-            if band.is_some() {
-                // The full plane reads every processor's costs on all of
-                // 0..=n (still non-decreasing: the band only runs on
-                // such costs).
-                engine.tabs = tabulate(table, procs, n).0;
-                engine.last = n;
-            }
-            // A failed banded attempt has used up its warm start.
-            let reuse = warm.as_ref().map_or(0, |w| w.reuse);
+            let t_full = Instant::now();
+            let costs: Vec<(&[f64], &[f64])> =
+                tabs.iter().map(|(comm, comp)| (&comm[..=n], &comp[..=n])).collect();
             let mut plane = match warm {
                 Some(w) => warm_plane(w, p, n),
                 None => DpPlane::full(p, n),
             };
             let answer = engine
-                .run(&mut plane, None, reuse)
+                .run(&costs, &mut plane, None, reuse)
                 .expect("a full-plane solve is always consistent");
+            solve_secs += t_full.elapsed().as_secs_f64();
             (answer, plane, reuse)
         }
     };
-    drop(sweep_span);
-    let solve_secs = band_secs + t_solve.elapsed().as_secs_f64();
+    let run_kernel = engine.kernel;
 
     let timing = PlanTiming {
         // The *requested* kernel: a demoted D&C solve still reports
@@ -736,8 +721,7 @@ fn participant_scan(slopes: &[(f64, f64)], mut join: impl FnMut(usize)) -> f64 {
 ///   processor `j` at most `cap[j]` items, the largest `e` with
 ///   `Tcomm(j, e) + Tcomp(j, e) <= bound` as evaluated (its own send and
 ///   compute alone fit in the makespan, and the DP's nested sums never
-///   fall below that sum). No cost is read past the largest `cap`, so a
-///   banded solve tabulates only that prefix.
+///   fall below that sum).
 /// * **Shared port:** processor `j` also waits for every send before it,
 ///   so `Σ_{k<=j} β_k x_k + α_j x_j <= bound` for the slopes of affine
 ///   costs (intercepts are non-negative and only tighten it). The LP
@@ -802,12 +786,6 @@ impl Band {
         }
         Band { bound, lo, cap }
     }
-
-    /// The largest item count the banded sweep evaluates a cost of one
-    /// of the first `columns` processors at.
-    fn last(&self, columns: usize) -> usize {
-        self.cap[..columns].iter().flatten().copied().max().unwrap_or(0)
-    }
 }
 
 /// Whether both of `pr`'s costs are affine with non-negative slopes, and
@@ -839,31 +817,18 @@ fn port_capacity(slopes: &[(f64, f64)], bound: f64) -> Option<f64> {
     cap.is_finite().then_some(cap)
 }
 
-/// One configured solve over pre-tabulated costs.
+/// One configured solve: the kernel and how its columns are scheduled.
 struct Engine {
     kernel: Kernel,
-    /// Tabulated costs, valid on `0..=last`, of every processor whose
-    /// column the solve computes (a warm start may leave out the
-    /// processors of its reused columns).
-    tabs: Vec<TabPair>,
-    last: usize,
     n: usize,
     p: usize,
     threads: usize,
     /// Requested cells per work unit (`0` = sized per column).
     chunk: usize,
     stats: DpStats,
-    /// Span id of the enclosing `dp.sweep` span: `dp.chunk` spans
-    /// recorded on worker threads attach here explicitly, because the
-    /// tracer's thread-local parent stack does not cross threads.
-    span_parent: u64,
 }
 
 impl Engine {
-    fn tab(&self, i: usize) -> (&[f64], &[f64]) {
-        (&self.tabs[i].0[..=self.last], &self.tabs[i].1[..=self.last])
-    }
-
     /// The kernel one full-plane column actually runs: the D&C
     /// recurrence requires the previous column non-decreasing — true by
     /// induction for non-decreasing costs (a rounded sum or max of
@@ -875,7 +840,7 @@ impl Engine {
         if self.kernel != Kernel::Dc {
             return self.kernel;
         }
-        if prev.windows(2).any(|w| w[1] < w[0]) {
+        if !dp_kernel::non_decreasing(prev) {
             self.stats.dc_col_fallbacks.inc();
             return Kernel::Basic;
         }
@@ -884,18 +849,21 @@ impl Engine {
 
     /// Runs the column sweep + reconstruction over `plane` — the whole
     /// plane when `band` is `None`, else only the band's cells; `reuse`
-    /// trailing columns were pre-filled by a warm start. Returns `None`
-    /// only when the band turned out inconsistent with the table: a
-    /// column came out empty, the reconstruction left the band, or the
-    /// makespan exceeds the bound. The caller then retries on the full
-    /// plane.
-    fn run(
+    /// trailing columns were pre-filled by a warm start. `costs[i]` reads
+    /// processor `i`'s `(comm, comp)` costs, for every column the solve
+    /// computes. Returns `None` only when the band turned out
+    /// inconsistent with the costs: a column came out empty, the
+    /// reconstruction left the band, or the makespan exceeds the bound.
+    /// The caller then retries on the full plane.
+    fn run<C: Cost + Sync>(
         &self,
+        costs: &[(C, C)],
         plane: &mut DpPlane,
         band: Option<&Band>,
         reuse: usize,
     ) -> Option<(Vec<usize>, f64)> {
         let (n, p) = (self.n, self.p);
+        let sweep_span = span::span("dp", "dp.sweep");
         let bound = band.map(|b| b.bound);
         // Column `i`'s first live cell and largest candidate count.
         let edges = |i: usize| band.map_or(Some((0, n)), |b| b.cap[i].map(|c| (b.lo[i], c)));
@@ -903,7 +871,7 @@ impl Engine {
         // Base column: the root takes everything that is left. A warm
         // start already holds it (and possibly more trailing columns).
         if reuse == 0 {
-            let (comm, comp) = self.tab(p - 1);
+            let (comm, comp) = costs[p - 1];
             let (lo, cap) = edges(p - 1)?;
             if lo > cap {
                 return None;
@@ -911,7 +879,7 @@ impl Engine {
             plane.open(p - 1, lo, cap - lo + 1);
             let (cost, choice) = plane.col_mut(p - 1);
             for (k, (v, e)) in cost.iter_mut().zip(choice.iter_mut()).enumerate() {
-                *v = comm[lo + k] + comp[lo + k];
+                *v = comm.at(lo + k) + comp.at(lo + k);
                 *e = (lo + k) as u32;
             }
             self.stats.cells.add((cap - lo + 1) as u64);
@@ -943,8 +911,8 @@ impl Engine {
             }
             plane.open(i, lo, hi - lo + 1);
             let (cur, choice, prev) = plane.column_mut(i);
-            let ctx = self.column_ctx(i, next.start, prev, cap, bound);
-            self.compute_column(&ctx, lo, cur, choice);
+            let ctx = self.column_ctx(costs[i], next.start, prev, cap, bound);
+            self.compute_column(&ctx, lo, cur, choice, sweep_span.id());
             // Keep the live prefix only: values are non-decreasing in
             // `d`, so everything past the first out-of-bound cell is out
             // of bound too.
@@ -969,7 +937,7 @@ impl Engine {
         let next = plane.span(1);
         plane.open(0, n, 1);
         let (cur, choice, prev) = plane.column_mut(0);
-        let ctx = self.column_ctx(0, next.start, prev, cap, bound);
+        let ctx = self.column_ctx(costs[0], next.start, prev, cap, bound);
         let (makespan, top_e) = ctx.cell(n);
         cur[0] = makespan;
         choice[0] = top_e;
@@ -992,36 +960,48 @@ impl Engine {
         Some((counts, makespan))
     }
 
-    /// The shared read-only context of column `i`'s cells: `prev` holds
-    /// column `i + 1`'s live cells, starting at cell `prev_start`.
-    fn column_ctx<'c>(
-        &'c self,
-        i: usize,
+    /// The shared read-only context of one column's cells, given its
+    /// processor's `(comm, comp)` costs: `prev` holds the next column's
+    /// live cells, starting at cell `prev_start`.
+    fn column_ctx<'c, C: Cost>(
+        &self,
+        (comm, comp): (C, C),
         prev_start: usize,
         prev: &'c [f64],
         cap: usize,
         bound: Option<f64>,
-    ) -> ColumnCtx<'c> {
-        let (comm, comp) = self.tab(i);
-        let kernel = match bound {
+    ) -> ColumnCtx<'c, C> {
+        let (kernel, crossing) = match bound {
             // Inside a band both Algorithm 2 and D&C run Algorithm 2's
             // windowed cell, which the kernel contract makes
-            // bit-identical to either on the full plane.
-            Some(_) => Kernel::Optimized,
-            None => self.column_kernel(prev),
+            // bit-identical to either on the full plane. Its crossing is
+            // stepped from cell to cell when the previous column allows.
+            Some(_) => (Kernel::Optimized, Crossing::of(prev)),
+            // The full plane's Algorithm 2 is the paper's, one binary
+            // search per cell.
+            None => (self.column_kernel(prev), Crossing::PerCell),
         };
-        ColumnCtx { kernel, comm, comp, prev, prev_start, cap, bound }
+        ColumnCtx { kernel, crossing, comm, comp, prev, prev_start, cap, bound }
     }
 
     /// Computes one column slice (`cost`/`choice` hold cells `first..`),
-    /// chunked over the worker threads. Cells skipped by a pruning
-    /// early-stop are written `+inf`, which the sweep treats as out of
-    /// bound.
-    fn compute_column(&self, ctx: &ColumnCtx<'_>, first: usize, cost: &mut [f64], choice: &mut [u32]) {
+    /// chunked over the worker threads; each chunk records a `dp.chunk`
+    /// span under `span_parent`, the enclosing `dp.sweep` span (the
+    /// tracer's thread-local parent stack does not cross threads). Cells
+    /// skipped by a pruning early-stop are written `+inf`, which the
+    /// sweep treats as out of bound.
+    fn compute_column<C: Cost + Sync>(
+        &self,
+        ctx: &ColumnCtx<'_, C>,
+        first: usize,
+        cost: &mut [f64],
+        choice: &mut [u32],
+        span_parent: u64,
+    ) {
         let len = cost.len();
         let chunk = chunk_size(len, self.threads, self.chunk);
         if self.threads <= 1 || len <= chunk {
-            let mut chunk_span = span::span_with_parent("dp", "dp.chunk", self.span_parent);
+            let mut chunk_span = span::span_with_parent("dp", "dp.chunk", span_parent);
             let evaluated = ctx.run_chunk(first, cost, choice);
             chunk_span.attr("start", first);
             chunk_span.attr("len", len);
@@ -1049,7 +1029,7 @@ impl Engine {
                             Some((start, c, ch)) => {
                                 let chunk_len = c.len();
                                 let mut chunk_span =
-                                    span::span_with_parent("dp", "dp.chunk", self.span_parent);
+                                    span::span_with_parent("dp", "dp.chunk", span_parent);
                                 let done = ctx.run_chunk(start, c, ch);
                                 chunk_span.attr("start", start);
                                 chunk_span.attr("len", chunk_len);
@@ -1070,10 +1050,12 @@ impl Engine {
 }
 
 /// Everything one column's cells need, shareable across worker threads.
-struct ColumnCtx<'a> {
+struct ColumnCtx<'a, C> {
     kernel: Kernel,
-    comm: &'a [f64],
-    comp: &'a [f64],
+    /// How Algorithm 2's cells find their crossing points.
+    crossing: Crossing,
+    comm: C,
+    comp: C,
     /// The previous column's live cells, cell `prev_start` first (the
     /// whole column `0..=n` on the full plane).
     prev: &'a [f64],
@@ -1083,7 +1065,7 @@ struct ColumnCtx<'a> {
     bound: Option<f64>,
 }
 
-impl ColumnCtx<'_> {
+impl<C: Cost> ColumnCtx<'_, C> {
     #[inline]
     fn cell(&self, d: usize) -> (f64, u32) {
         match self.kernel {
@@ -1097,8 +1079,7 @@ impl ColumnCtx<'_> {
                 let Some(rel) = d.checked_sub(self.prev_start) else {
                     return (f64::INFINITY, 0);
                 };
-                let lo = rel.saturating_sub(self.prev.len() - 1);
-                let lim = rel.min(self.cap);
+                let (lo, lim) = dp_kernel::window(self.prev.len() - 1, self.cap)(rel);
                 if lo > lim {
                     // No live candidate: the true value exceeds the bound.
                     return (f64::INFINITY, 0);
@@ -1112,25 +1093,31 @@ impl ColumnCtx<'_> {
     /// actually evaluated.
     ///
     /// On the full plane the D&C kernel hands the whole chunk to
-    /// [`dp_kernel::dc_chunk`]. The per-cell kernels fill ascending;
-    /// with a pruning bound the chunk stops at its first out-of-bound
-    /// cell (column values are non-decreasing in `d`, so everything after
-    /// it is out of bound too), and the remaining cells are written
-    /// `+inf`.
+    /// [`dp_kernel::dc_chunk`], and Algorithm 1 fills it cell by cell.
+    /// Algorithm 2 hands it to [`dp_kernel::sweep`], which with a pruning
+    /// bound stops at the chunk's first out-of-bound cell (column values
+    /// are non-decreasing in `d`, so everything after it is out of bound
+    /// too) and writes the remaining cells `+inf`.
     fn run_chunk(&self, first: usize, cost: &mut [f64], choice: &mut [u32]) -> usize {
-        if self.kernel == Kernel::Dc {
-            dp_kernel::dc_chunk(self.comm, self.comp, self.prev, first, cost, choice);
-            return cost.len();
-        }
-        for k in 0..cost.len() {
-            let (v, e) = self.cell(first + k);
-            cost[k] = v;
-            choice[k] = e;
-            if self.bound.is_some_and(|b| v > b) {
-                for slot in &mut cost[k + 1..] {
-                    *slot = f64::INFINITY;
+        match self.kernel {
+            Kernel::Basic => {
+                for (k, (v, e)) in cost.iter_mut().zip(choice.iter_mut()).enumerate() {
+                    (*v, *e) = self.cell(first + k);
                 }
-                return k + 1;
+            }
+            Kernel::Dc => dp_kernel::dc_chunk(self.comm, self.comp, self.prev, first, cost, choice),
+            Kernel::Optimized => {
+                // A banded chunk starts at or above the previous column's
+                // first cell.
+                let rel = first - self.prev_start;
+                let bound = self.bound.unwrap_or(f64::INFINITY);
+                let (comm, comp, prev) = (self.comm, self.comp, self.prev);
+                let window = dp_kernel::window(prev.len() - 1, self.cap);
+                let mode = self.crossing;
+                let cells = (rel, rel + cost.len() - 1);
+                return dp_kernel::sweep(
+                    comm, comp, prev, window, cells, mode, bound, cost, choice,
+                );
             }
         }
         cost.len()
@@ -1813,19 +1800,24 @@ pub(crate) mod tests {
         assert_eq!(timing.threads, 2);
         assert!(timing.pruned, "linear costs seed a closed-form bound");
         assert!(timing.total_secs >= timing.solve_secs);
-        assert!(timing.tabulate_secs >= 0.0);
-        assert!(timing.cache_misses > 0, "first solve must tabulate");
-        // Re-solving through the same table is all hits.
-        let (_, timing2) = solve(Optimized, &table, &v, 800, &opts).unwrap();
-        assert_eq!(timing2.cache_misses, 0);
-        assert!(timing2.cache_hits > 0);
+        // A banded solve reads its costs in the cell: no table lookups.
+        assert_eq!((timing.cache_hits, timing.cache_misses), (0, 0));
+        assert_eq!(timing.tabulate_secs, 0.0);
         // The D&C kernel runs banded too; `prune: false` is the full plane.
         let (_, dc) = solve(Dc, &table, &v, 800, &opts).unwrap();
         assert_eq!(dc.strategy, "exact-dc");
         assert!(dc.pruned, "the band applies to the D&C kernel");
+        assert_eq!((dc.cache_hits, dc.cache_misses), (0, 0));
+        assert!(table.is_empty(), "no banded solve tabulates");
         let full = ParallelOpts { prune: false, ..opts };
         let (_, dc_full) = solve(Dc, &table, &v, 800, &full).unwrap();
         assert!(!dc_full.pruned);
+        assert!(dc_full.tabulate_secs >= 0.0);
+        assert!(dc_full.cache_misses > 0, "first full-plane solve must tabulate");
+        // Re-solving through the same table is all hits.
+        let (_, again) = solve(Dc, &table, &v, 800, &full).unwrap();
+        assert_eq!(again.cache_misses, 0);
+        assert!(again.cache_hits > 0);
     }
 
     #[test]

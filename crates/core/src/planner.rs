@@ -375,6 +375,8 @@ impl Planner {
 
     /// Shares a [`CostTable`] across planners, so repeated plans on the
     /// same cost functions (e.g. root-selection scans) tabulate once.
+    /// Only full-plane solves tabulate: a banded one evaluates its affine
+    /// costs in the cell.
     pub fn cache(mut self, table: Arc<CostTable>) -> Self {
         self.cache = Some(table);
         self
@@ -611,7 +613,16 @@ mod tests {
         assert_eq!(tuned.timing.strategy, "exact");
         assert_eq!(tuned.timing.threads, 4);
         assert!(tuned.timing.pruned, "linear costs seed a pruning bound");
-        assert!(!table.is_empty(), "shared cache was populated");
+        assert!(table.is_empty(), "a banded solve reads its costs in the cell");
+        let full = Planner::new(platform())
+            .strategy(Strategy::Exact)
+            .prune(false)
+            .cache(Arc::clone(&table))
+            .plan(n)
+            .unwrap();
+        assert_eq!(full.counts, base.counts);
+        assert_eq!(full.predicted_makespan.to_bits(), base.predicted_makespan.to_bits());
+        assert!(!table.is_empty(), "the full plane populated the shared cache");
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! Implementation: each share is split once, exactly, into its floor and
 //! fractional part `r/d`, and carries an `f64` image of `r/d`. The
 //! selection loop then compares distances in `f64` and falls back to an
-//! exact comparison only when two distances lie within [`F64_SLACK`] of
+//! exact comparison only when two distances lie within `F64_SLACK` of
 //! each other, so it makes the same choices as exact arithmetic,
 //! tie-breaks included, while doing O(p) big-rational operations instead
 //! of O(p²).

@@ -276,7 +276,7 @@ impl BigUint {
     /// §4.5.2, Algorithm L). `gcd(0, x) == x`.
     ///
     /// Works on two owned limb buffers `a >= b`. Each step runs Euclid on
-    /// machine words: the top [`LEHMER_BITS`] bits of `a` and the bits of
+    /// machine words: the top `LEHMER_BITS` bits of `a` and the bits of
     /// `b` at the same position. It keeps going while Knuth's two-sided
     /// quotient test proves each word quotient equal to the full
     /// operands' quotient, and accumulates the steps in a 2×2 cofactor

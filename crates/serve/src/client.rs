@@ -37,9 +37,12 @@ impl Client {
     /// line — the escape hatch `gs client --json` uses, so scripts can
     /// speak protocol extensions this build does not model.
     pub fn call_line(&mut self, line: &str) -> std::io::Result<String> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
+        // One write per message: a separate newline would cost a second
+        // syscall and, with Nagle off, a second segment.
+        let mut framed = String::with_capacity(line.len() + 1);
+        framed.push_str(line);
+        framed.push('\n');
+        self.writer.write_all(framed.as_bytes())?;
         let mut response = String::new();
         if self.reader.read_line(&mut response)? == 0 {
             return Err(std::io::Error::new(

@@ -7,7 +7,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -139,9 +139,11 @@ fn session(
             return write_metrics_http(&mut writer);
         }
         let (response, shutdown) = respond(line, handle);
-        writer.write_all(encode_response(&response).as_bytes())?;
-        writer.write_all(b"\n")?;
-        writer.flush()?;
+        // One write per message: on a no-delay socket a separate newline
+        // costs a second syscall and a second segment.
+        let mut framed = encode_response(&response);
+        framed.push('\n');
+        writer.write_all(framed.as_bytes())?;
         if let Some(dir) = span_log {
             write_request_spans(dir, &response.id);
         }
@@ -155,8 +157,10 @@ fn session(
 /// Drains the session thread's span buffer into
 /// `dir/req-<sanitized id>.json` as a Chrome trace. Requests are
 /// answered serially per session, so everything buffered since the last
-/// drain belongs to the request just answered. Best-effort: a full disk
-/// must not take the daemon down.
+/// drain belongs to the request just answered. The file is written under
+/// a temporary name and renamed into place, so a reader that polls for
+/// it (the response is already on the wire) never sees it half written.
+/// Best-effort: a full disk must not take the daemon down.
 fn write_request_spans(dir: &Path, id: &str) {
     if !span::enabled() {
         return;
@@ -172,7 +176,13 @@ fn write_request_spans(dir: &Path, id: &str) {
     if name.is_empty() {
         name.push_str("anon");
     }
-    let _ = std::fs::write(dir.join(format!("req-{name}.json")), span::chrome_trace_json(&spans));
+    // One temporary name per write: sessions answering equal ids must
+    // not rename each other's partial files.
+    static WRITES: AtomicU64 = AtomicU64::new(0);
+    let tmp = dir.join(format!(".req-{name}.{}.tmp", WRITES.fetch_add(1, Ordering::Relaxed)));
+    if std::fs::write(&tmp, span::chrome_trace_json(&spans)).is_ok() {
+        let _ = std::fs::rename(&tmp, dir.join(format!("req-{name}.json")));
+    }
 }
 
 /// Decodes and handles one request line; the flag says whether it asked
