@@ -32,7 +32,7 @@
 //! |---|---|---|---|
 //! | [`Kernel::Basic`](parallel::Kernel::Basic) | Algorithm 1 | non-negative costs | `O(p·n²)` |
 //! | [`Kernel::Optimized`](parallel::Kernel::Optimized) | Algorithm 2 | increasing costs | `O(p·n²)` worst, `~O(p·n·log n)` typical |
-//! | [`Kernel::Dc`](parallel::Kernel::Dc) | D&C extension | increasing costs (else falls back to Alg. 1) | `O(p·n·log n)` |
+//! | [`Kernel::Dc`](parallel::Kernel::Dc) | Algorithm 2, stepped crossing | increasing costs (else falls back to Alg. 1) | `O(p·(n + log n))` crossing probes, plus Algorithm 2's scan per cell |
 //! | [`heuristic`] | §3.3 LP + rounding | affine costs | polynomial, guaranteed (Eq. 4) |
 //! | [`closed_form`] | §4, Theorems 1–2 | linear costs | `O(p)`, exact rational |
 //!

@@ -1,5 +1,5 @@
 //! The exact dynamic programs — the paper's Algorithms 1 and 2 and the
-//! divide-and-conquer kernel, selected by [`Kernel`] — behind one
+//! D&C kernel, selected by [`Kernel`] — behind one
 //! multi-threaded, optionally pruned entry point, [`solve`] (the
 //! "parallel planning engine").
 //!
@@ -138,18 +138,19 @@ pub enum Kernel {
     /// sampling, then exactly on the tabulated values) and a violation
     /// is [`PlanError::NotIncreasing`].
     Optimized,
-    /// Divide and conquer over the monotone crossing point: Algorithm
-    /// 2's answer in `O(p·n log n)`. Algorithm 2 binary-searches each
-    /// cell's crossing point `c(d)` — the smallest `e` with
-    /// `Tcomp(i,e) >= cost[d-e, i+1]` — but for non-decreasing costs the
-    /// crossing moves by at most one step per cell
-    /// (`c(d) <= c(d+1) <= c(d) + 1`). This kernel computes the crossing
-    /// of the middle cell inside the window bounded by its neighbours'
-    /// crossings and recurses on both halves, `O(n + log n)` probes for
-    /// a whole range of cells; every cell then runs exactly Algorithm
-    /// 2's comparisons from its crossing point, block-skipping downward
-    /// scan included, so counts, makespans and tie-breaks are
-    /// bit-identical to [`Kernel::Optimized`].
+    /// Algorithm 2 with a stepped crossing point. Algorithm 2
+    /// binary-searches each cell's crossing point `c(d)` — the smallest
+    /// `e` with `Tcomp(i,e) >= cost[d-e, i+1]` — but for non-decreasing
+    /// costs the crossing moves by at most one step per cell
+    /// (`c(d) <= c(d+1) <= c(d) + 1`). This kernel binary-searches only
+    /// the first cell of each chunk of a column and steps the crossing
+    /// from there at one probe per cell: `O(n + log n)` crossing probes
+    /// per chunk, followed in every cell by exactly Algorithm 2's scan
+    /// from its crossing point, block skipping included, so counts,
+    /// makespans and tie-breaks are bit-identical to
+    /// [`Kernel::Optimized`]. The name (`exact-dc` on the command line
+    /// and the wire protocol) is the divide and conquer that located the
+    /// crossings before the stepped sweep did; it stays for the protocol.
     ///
     /// The monotonicity this rests on is checked at run time, twice:
     /// exactly at solve entry on the tabulated costs — costs that are
@@ -159,7 +160,7 @@ pub enum Kernel {
     /// previous column's values, where a violation (a floating-point
     /// surprise, not an expected input) demotes just that column to the
     /// full scan (`dp_dc_column_fallbacks_total`). Each worker chunk
-    /// runs its own recursion; see `docs/performance.md` for the kernel
+    /// runs its own sweep; see `docs/performance.md` for the kernel
     /// hierarchy and measured speedups.
     Dc,
 }
@@ -183,19 +184,19 @@ fn validate_procs(procs: &[&Processor], n: usize) -> Result<(), PlanError> {
     Ok(())
 }
 
-/// Trailing columns of a previous solve, reused to warm-start a new one.
+/// Trailing columns of a previous banded solve, reused to warm-start a
+/// new one.
 ///
 /// Column `plane.p - 1 - k` of the source becomes column `p - 1 - k` of
 /// the new solve for `k < reuse` — valid because DP column `i` depends
 /// only on the cost functions of processors `i..p-1`. The caller
 /// ([`crate::planner::PlanCache`]) guarantees the trailing cost
-/// functions match and picks `reuse` with [`reusable`], which also
-/// checks that the source plane has the layout the new solve runs on:
-/// a full plane for a full-plane solve, a banded one for a banded solve.
-/// A warm solve runs in the source plane itself (a full source is
-/// copied only when the new solve has more processors).
+/// functions match and picks `reuse` with [`reusable`], which admits
+/// only a banded source plane and only for a banded solve. A warm solve
+/// runs in the source plane itself; if its band proves inconsistent,
+/// the full-plane retry starts cold.
 pub(crate) struct WarmStart {
-    /// Plane of the previous solve.
+    /// Banded plane of the previous solve.
     pub plane: DpPlane,
     /// Trailing columns to reuse; `1 <= reuse <= p - 1` (the top column
     /// is always recomputed).
@@ -336,13 +337,13 @@ pub(crate) fn solve_cached(
 /// How many trailing columns of `plane` a solve of `kernel` with `opts`
 /// over `procs` and `n` items may reuse, given that the last `matching`
 /// processors of both solves have the same costs. The top column is
-/// never reused.
+/// never reused, and neither is a full plane: only a banded solve
+/// warm-starts, from a banded plane.
 ///
-/// A full-plane solve reuses full-plane columns that hold every cell
-/// `0..=n`. A banded solve reuses banded columns, from the root up,
-/// while the column's bound is at least the bound of the band `R` a
-/// cold solve of the new problem would use (the plain seed), and its
-/// first cell is at or below `R`'s. A column's values depend on every
+/// A banded solve reuses banded columns, from the root up, while the
+/// column's bound is at least the bound of the band `R` a cold solve of
+/// the new problem would use (the plain seed), and its first cell is at
+/// or below `R`'s. A column's values depend on every
 /// column below it, and the walk reaches it only when those passed too.
 /// Every cell of `R` a reused column holds then lies between the
 /// full-plane value and the cold banded value: its candidate sets are
@@ -365,17 +366,15 @@ pub(crate) fn reusable(
     if max == 0 {
         return 0;
     }
-    let old = |k: usize| plane.p - 1 - k;
     match band_of(kernel, procs, n, opts, plain_band) {
         // Past the cached solve's `n` a column may have been cut at its
         // last cell rather than by its bound.
         Some(cold) if plane.is_banded() && n <= plane.n => (0..max)
             .take_while(|&k| {
-                let col = plane.span(old(k));
+                let col = plane.span(plane.p - 1 - k);
                 col.bound >= cold.bound && col.start <= cold.lo[p - 1 - k]
             })
             .count(),
-        None if !plane.is_banded() => (0..max).take_while(|&k| plane.covers(old(k), n)).count(),
         _ => 0,
     }
 }
@@ -389,7 +388,7 @@ fn solve_seeded(
     procs: &[&Processor],
     n: usize,
     opts: &ParallelOpts,
-    mut warm: Option<WarmStart>,
+    warm: Option<WarmStart>,
     band_for: impl Fn(&[&Processor], usize) -> Option<Band>,
 ) -> Result<(DpSolution, PlanTiming, DpPlane), PlanError> {
     let start = Instant::now();
@@ -413,8 +412,8 @@ fn solve_seeded(
 
     let t_band = Instant::now();
     let band = band_of(kernel, procs, n, opts, band_for);
-    // [`reusable`] only admits a source plane of the solve's layout.
-    debug_assert!(warm.as_ref().is_none_or(|w| w.plane.is_banded() == band.is_some()));
+    // [`reusable`] only admits a banded source plane, for a banded solve.
+    debug_assert!(warm.is_none() || band.is_some());
     let mut banded = None;
     if let Some(band) = &band {
         // The band runs on affine, non-decreasing costs only, so it reads
@@ -423,7 +422,7 @@ fn solve_seeded(
         let costs: Vec<(InCell, InCell)> =
             procs.iter().map(|pr| (in_cell(&pr.comm), in_cell(&pr.comp))).collect();
         let reuse = warm.as_ref().map_or(0, |w| w.reuse);
-        let mut plane = match warm.take() {
+        let mut plane = match warm {
             Some(w) => w.plane.rebase(p, n, w.reuse),
             None => DpPlane::banded(p, n),
         };
@@ -441,19 +440,9 @@ fn solve_seeded(
     let ((counts, makespan), plane, reuse) = match banded {
         Some(answer) => answer,
         None => {
-            // A failed banded attempt has used up its warm start. A warm
-            // start recomputes only the columns it does not reuse, so the
-            // reused processors' costs need no table when their
-            // monotonicity is analytic; otherwise they are tabulated for
-            // the exact check below.
-            let reuse = warm.as_ref().map_or(0, |w| w.reuse);
-            debug_assert!(reuse < p, "the top column is never reused");
-            let analytic = procs[p - reuse..].iter().all(|pr| affine_non_decreasing(pr));
-            let computed = &procs[..p - if analytic { reuse } else { 0 }];
-
             let t_tab = Instant::now();
             let tab_span = span::span("dp", "dp.tabulate");
-            let (tabs, monos) = tabulate(table, computed, n);
+            let (tabs, monos) = tabulate(table, procs, n);
             if kernel != Kernel::Basic {
                 // Exact monotonicity check on the tabulated values:
                 // Algorithm 2 and the D&C recurrence both depend on it,
@@ -483,15 +472,12 @@ fn solve_seeded(
             let t_full = Instant::now();
             let costs: Vec<(&[f64], &[f64])> =
                 tabs.iter().map(|(comm, comp)| (&comm[..=n], &comp[..=n])).collect();
-            let mut plane = match warm {
-                Some(w) => warm_plane(w, p, n),
-                None => DpPlane::full(p, n),
-            };
+            let mut plane = DpPlane::full(p, n);
             let answer = engine
-                .run(&costs, &mut plane, None, reuse)
+                .run(&costs, &mut plane, None, 0)
                 .expect("a full-plane solve is always consistent");
             solve_secs += t_full.elapsed().as_secs_f64();
-            (answer, plane, reuse)
+            (answer, plane, 0)
         }
     };
     let run_kernel = engine.kernel;
@@ -526,8 +512,7 @@ fn solve_seeded(
             .observe(timing.solve_secs);
     }
     if reuse > 0 {
-        reg.counter("dp_warm_solves_total", "DP solves warm-started from a cached plane")
-            .inc();
+        reg.counter("dp_warm_solves_total", "DP solves warm-started from a cached plane").inc();
         reg.counter(
             "dp_warm_columns_reused_total",
             "DP columns reused from a cached plane instead of recomputed",
@@ -544,25 +529,6 @@ fn solve_seeded(
     solve_span.attr("plane_bytes", plane.bytes());
     solve_span.attr("reuse", reuse);
     Ok((DpSolution { counts, makespan }, timing, plane))
-}
-
-/// The full plane of a warm-started solve over `p` processors and `n`
-/// items: the source plane re-used in place when it has at least `p`
-/// columns, else a fresh plane with the reused columns copied in.
-fn warm_plane(w: WarmStart, p: usize, n: usize) -> DpPlane {
-    if w.plane.p >= p {
-        return w.plane.rebase(p, n, w.reuse);
-    }
-    let mut plane = DpPlane::full(p, n);
-    for k in 0..w.reuse {
-        let (dst, src) = (p - 1 - k, w.plane.p - 1 - k);
-        plane.open(dst, 0, n + 1);
-        let (cost, choice) = plane.col_mut(dst);
-        for (d, (v, e)) in cost.iter_mut().zip(choice.iter_mut()).enumerate() {
-            (*v, *e) = w.plane.get(src, d).expect("a reused column holds 0..=n");
-        }
-    }
-    plane
 }
 
 /// A solve's band from `band_for`, `None` when the solve runs on the
@@ -1195,10 +1161,7 @@ pub(crate) mod tests {
 
     #[test]
     fn zero_items() {
-        let ps = vec![
-            Processor::linear("a", 1.0, 1.0),
-            Processor::linear("root", 0.0, 1.0),
-        ];
+        let ps = vec![Processor::linear("a", 1.0, 1.0), Processor::linear("root", 0.0, 1.0)];
         let sol = serial_solve(Basic, &view(&ps), 0).unwrap();
         assert_eq!(sol.counts, vec![0, 0]);
         assert_eq!(sol.makespan, 0.0);
@@ -1222,10 +1185,7 @@ pub(crate) mod tests {
     fn slow_link_gets_nothing_when_prohibitive() {
         // Sending one item to `far` costs more than computing everything
         // on the root.
-        let ps = vec![
-            Processor::linear("far", 1000.0, 0.001),
-            Processor::linear("root", 0.0, 1.0),
-        ];
+        let ps = vec![Processor::linear("far", 1000.0, 0.001), Processor::linear("root", 0.0, 1.0)];
         let sol = serial_solve(Basic, &view(&ps), 5).unwrap();
         assert_eq!(sol.counts, vec![0, 5]);
         assert_eq!(sol.makespan, 5.0);
@@ -1287,10 +1247,7 @@ pub(crate) mod tests {
     #[test]
     fn rejects_invalid_costs() {
         let ps = vec![Processor::custom("bad", |_| -1.0, |x| x as f64)];
-        assert!(matches!(
-            serial_solve(Basic, &view(&ps), 5),
-            Err(PlanError::InvalidCost { .. })
-        ));
+        assert!(matches!(serial_solve(Basic, &view(&ps), 5), Err(PlanError::InvalidCost { .. })));
     }
 
     #[test]
@@ -1307,10 +1264,7 @@ pub(crate) mod tests {
 
     #[test]
     fn shared_cost_table_gives_identical_results() {
-        let ps = vec![
-            Processor::linear("a", 0.5, 2.0),
-            Processor::linear("root", 0.0, 3.0),
-        ];
+        let ps = vec![Processor::linear("a", 0.5, 2.0), Processor::linear("root", 0.0, 3.0)];
         let v = view(&ps);
         let table = CostTable::new();
         // Largest first: later, smaller solves reuse its tabulations.
@@ -1381,11 +1335,7 @@ pub(crate) mod tests {
         // Decreasing only between sample points of the cheap probe:
         // the exact tabulated check must still catch it.
         let ps = vec![
-            Processor::custom(
-                "sneaky",
-                |x| if x == 37 { 0.0 } else { x as f64 },
-                |x| x as f64,
-            ),
+            Processor::custom("sneaky", |x| if x == 37 { 0.0 } else { x as f64 }, |x| x as f64),
             Processor::linear("root", 0.0, 1.0),
         ];
         assert!(matches!(
@@ -1687,66 +1637,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn warm_start_matches_cold_solve_bit_for_bit() {
-        let (sub, order) = table1_view(8);
-        let v = sub.ordered(&order);
-        let table = CostTable::new();
-        let opts = ParallelOpts::serial();
-        // Cold solve over the full platform keeps its plane.
-        let (_, _, plane) = solve_cached(Optimized, &table, &v, 3000, &opts, None).unwrap();
-        // "Fail" the first two processors: the survivors are exactly the
-        // trailing 6, so their 5 trailing columns (all but the top) can
-        // be reused for any residual <= 3000.
-        let survivors: Vec<&Processor> = v[2..].to_vec();
-        for residual in [0usize, 1, 700, 2999] {
-            let cold = solve_cached(Optimized, &table, &survivors, residual, &opts, None).unwrap();
-            let reuse = survivors.len() - 1;
-            let warm_src = WarmStart { plane: plane.clone(), reuse };
-            let warm = solve_cached(Optimized, &table, &survivors, residual, &opts, Some(warm_src))
-                .unwrap();
-            assert_bit_identical(&warm.0, &cold.0, &format!("warm residual={residual}"));
-            // The warm plane must itself be a valid cache source.
-            let again = WarmStart { plane: warm.2, reuse };
-            let rewarm =
-                solve_cached(Optimized, &table, &survivors, residual, &opts, Some(again)).unwrap();
-            assert_bit_identical(&rewarm.0, &cold.0, &format!("rewarm residual={residual}"));
-        }
-        // A source with fewer columns than the new solve is copied, not
-        // re-used in place: warm-start the full platform from the
-        // survivors' plane.
-        let (_, _, small) = solve_cached(Optimized, &table, &survivors, 3000, &opts, None).unwrap();
-        let cold = solve_cached(Optimized, &table, &v, 2500, &opts, None).unwrap();
-        let grow = WarmStart { plane: small, reuse: survivors.len() - 1 };
-        let warm = solve_cached(Optimized, &table, &v, 2500, &opts, Some(grow)).unwrap();
-        assert_bit_identical(&warm.0, &cold.0, "warm start from a smaller platform");
-    }
-
-    #[test]
-    fn warm_start_still_checks_reused_non_monotone_costs() {
-        // The reused columns' costs decrease between the cheap probe's
-        // sample points, so only their tables can show it: a warm
-        // Algorithm 2 solve must tabulate them and fail, as a cold one does.
-        let ps = vec![
-            Processor::linear("a", 0.01, 1.0),
-            Processor::linear("b", 0.02, 1.5),
-            Processor::custom("sneaky", |x| if x == 37 { 0.0 } else { x as f64 }, |x| x as f64),
-            Processor::linear("root", 0.0, 1.0),
-        ];
-        let v = view(&ps);
-        let table = CostTable::new();
-        let opts = ParallelOpts::serial();
-        // D&C demotes to Algorithm 1 on these costs and keeps its plane.
-        let (_, _, plane) = solve_cached(Dc, &table, &v, 300, &opts, None).unwrap();
-        let survivors = &v[1..];
-        let warm = WarmStart { plane, reuse: survivors.len() - 1 };
-        assert!(ps[2].comm.probably_increasing(200), "the probe samples every 3rd count");
-        assert!(matches!(
-            solve_cached(Optimized, &table, survivors, 200, &opts, Some(warm)),
-            Err(PlanError::NotIncreasing { proc: 1 })
-        ));
-    }
-
-    #[test]
     fn warm_start_skips_reused_columns() {
         use crate::metrics::{MetricsSnapshot, Registry};
         let get = |s: &MetricsSnapshot, name: &str| {
@@ -1755,16 +1645,24 @@ pub(crate) mod tests {
         let (sub, order) = table1_view(8);
         let v = sub.ordered(&order);
         let table = CostTable::new();
-        let opts = ParallelOpts::serial();
+        let opts = ParallelOpts { threads: 1, prune: true, chunk: 0 };
         let (_, _, plane) = solve_cached(Dc, &table, &v, 2000, &opts, None).unwrap();
-        let survivors: Vec<&Processor> = v[3..].to_vec();
-        let residual = 1500usize;
+        assert!(plane.is_banded());
+        // The first-served worker crashes: a re-plan of every item over
+        // the survivors reuses every column below its own.
+        let survivors: Vec<&Processor> = v[1..].to_vec();
+        let n = 2000usize;
+        let reuse = reusable(&plane, Dc, &survivors, n, &opts, survivors.len());
+        assert_eq!(reuse, survivors.len() - 1, "every column but the top is reusable");
         let before = Registry::global().snapshot();
-        let warm_src = WarmStart { plane, reuse: survivors.len() - 1 };
-        solve_cached(Dc, &table, &survivors, residual, &opts, Some(warm_src)).unwrap();
+        let warm_src = WarmStart { plane, reuse };
+        let (warm, timing, _) =
+            solve_cached(Dc, &table, &survivors, n, &opts, Some(warm_src)).unwrap();
         let after = Registry::global().snapshot();
+        assert!(timing.pruned);
+        assert_bit_identical(&warm, &serial_solve(Optimized, &survivors, n).unwrap(), "warm");
         // Only the top cell is computed: every middle + base column was
-        // copied. The cells counter may move from concurrent tests, but
+        // reused. The cells counter may move from concurrent tests, but
         // the warm counters are ticked exactly once here.
         assert!(
             get(&after, "dp_warm_solves_total") > get(&before, "dp_warm_solves_total"),
@@ -1772,7 +1670,7 @@ pub(crate) mod tests {
         );
         assert!(
             get(&after, "dp_warm_columns_reused_total")
-                >= get(&before, "dp_warm_columns_reused_total") + (survivors.len() - 1) as u64,
+                >= get(&before, "dp_warm_columns_reused_total") + reuse as u64,
             "reused columns must be counted"
         );
     }

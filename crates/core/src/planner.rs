@@ -1,7 +1,7 @@
 //! High-level planner: picks an ordering, runs a distribution strategy,
 //! and emits `MPI_Scatterv`-ready `counts`/`displs` — plus the
-//! [`PlanCache`] that lets exact re-plans warm-start from a previous
-//! solve's DP plane.
+//! [`PlanCache`] that lets banded exact re-plans warm-start from a
+//! previous solve's DP plane.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -28,9 +28,12 @@ pub enum Strategy {
     ExactBasic,
     /// Algorithm 2: exact DP, non-decreasing costs (default exact solver).
     Exact,
-    /// Divide-and-conquer exact DP, `O(p·n log n)` for non-decreasing
-    /// costs (falls back to Algorithm 1 otherwise) — see
-    /// [`Kernel::Dc`].
+    /// Algorithm 2 with a stepped crossing point, for non-decreasing
+    /// costs (falls back to Algorithm 1 otherwise): `O(n + log n)`
+    /// crossing probes per column chunk, followed by Algorithm 2's scan
+    /// in every cell — see [`Kernel::Dc`]. The name `exact-dc`, after the
+    /// divide and conquer that once located the crossings, stays for the
+    /// wire protocol.
     ExactDc,
     /// §3.3 guaranteed LP heuristic, affine costs.
     Heuristic,
@@ -80,8 +83,8 @@ struct PlaneEntry {
     plane: DpPlane,
 }
 
-/// Cache of the last exact solve's DP plane, enabling **warm-started
-/// re-plans**.
+/// Cache of the last exact solve's banded DP plane, enabling
+/// **warm-started re-plans**.
 ///
 /// DP column `i` depends only on the cost functions of processors
 /// `i..p-1` (suffixes of the scatter order). When a re-plan runs over a
@@ -92,7 +95,8 @@ struct PlaneEntry {
 /// engine keeps them and only computes the columns above them, in the
 /// cached plane itself: a warm re-plan copies no cell.
 ///
-/// The cache holds one plane: the last exact solve wins. Entries are
+/// The cache holds one plane: the last exact solve wins, and a solve
+/// that ran on the full plane leaves the cache empty. Entries are
 /// keyed by a hash of the ordered `(Tcomm, Tcomp)` cost-function
 /// identities (coefficient bits for linear/affine costs, shared-`Arc`
 /// identity for tabulated/custom ones, which survivor clones share).
@@ -102,23 +106,25 @@ struct PlaneEntry {
 /// platform misses outright.
 ///
 /// Exact solves through the cache stay banded where a cache-less solve
-/// would be (linear/affine costs, [`Planner::prune`] on), but band at
-/// the *single-crash bound*: the largest seed over the platform and over
-/// the platform without any one worker. Each cached column keeps its
-/// first cell and the bound it was computed under. A later banded solve
-/// reuses trailing columns, from the root up, while their signatures
-/// match, their bound is at least the bound of the band a cold solve of
-/// the new problem would use, and their first cell is at or below that
-/// band's. Those columns hold everything the cold band reads, with
-/// values between the full plane's and the cold band's, so the answer
-/// is unchanged. A re-plan of the same items after one crash can reuse
-/// every column below the crashed worker's. The root column holds every
-/// cell from 0, so a re-plan of fewer items (whose band starts lower)
-/// reuses at least that column, where a full plane would have served
-/// every column but the top. Other costs,
-/// [`Strategy::ExactBasic`] and `prune(false)` solve and cache the full
-/// plane, whose columns are reusable for any re-plan of at most as many
-/// items.
+/// would be (linear/affine costs, [`Planner::prune`] on, not
+/// [`Strategy::ExactBasic`]), but band at the *single-crash bound*: the
+/// largest seed over the platform and over the platform without any one
+/// worker. Each cached column keeps its first cell and the bound it was
+/// computed under. A later banded solve reuses trailing columns, from
+/// the root up, while their signatures match, their bound is at least
+/// the bound of the band a cold solve of the new problem would use, and
+/// their first cell is at or below that band's. Those columns hold
+/// everything the cold band reads, with values between the full plane's
+/// and the cold band's, so the answer is unchanged. A re-plan of the
+/// same items after one crash can reuse every column below the crashed
+/// worker's. The root column holds every cell from 0, so a re-plan of
+/// fewer items (whose band starts lower) reuses at least that column.
+///
+/// Plans that run on the full plane (other costs,
+/// [`Strategy::ExactBasic`], `prune(false)`) are counted misses and keep
+/// nothing: a full plane is `p·(n+1)·12` bytes (157 MB on Table 1 at
+/// the paper's `n`), and every platform a cache serves in this
+/// repository is linear or affine.
 ///
 /// Plans through a cache are bit-identical in makespan to cold plans —
 /// property-tested — and hits/misses are published as
@@ -210,8 +216,7 @@ impl PlanCache {
     /// reusable for a solve over `sigs`, as a warm start. `reusable`
     /// decides how many, given the plane and how many trailing
     /// signatures match; a hit or miss is counted only after it. The
-    /// caller is expected to [`PlanCache::store`] the new solve's plane,
-    /// refilling the slot.
+    /// caller is expected to [`PlanCache::store`] the new solve's plane.
     fn take_warm(
         &self,
         sigs: &[CostSig],
@@ -244,10 +249,11 @@ impl PlanCache {
     }
 
     /// Stores the plane of a finished exact solve, replacing whatever
-    /// the cache held.
+    /// the cache held; a full plane empties the cache instead.
     fn store(&self, sigs: Vec<CostSig>, plane: DpPlane) {
-        let entry = PlaneEntry { key: PlanCache::key(&sigs), sigs, plane };
-        *self.slot.lock().expect("plan cache poisoned") = Some(entry);
+        let entry =
+            plane.is_banded().then(|| PlaneEntry { key: PlanCache::key(&sigs), sigs, plane });
+        *self.slot.lock().expect("plan cache poisoned") = entry;
     }
 }
 
@@ -366,8 +372,9 @@ impl Planner {
     /// Only linear/affine costs seed the bound; other costs run on the
     /// full plane. Solves through a [`PlanCache`] band at a wider bound
     /// that keeps their columns reusable after a crash (see there).
-    /// `prune(false)` is the full-plane reference solve. Results are
-    /// bit-identical either way.
+    /// `prune(false)` is the full-plane reference solve, which a
+    /// [`PlanCache`] neither serves nor keeps. Results are bit-identical
+    /// either way.
     pub fn prune(mut self, prune: bool) -> Self {
         self.prune = prune;
         self
@@ -382,13 +389,14 @@ impl Planner {
         self
     }
 
-    /// Shares a [`PlanCache`]: exact strategies then store their DP plane
-    /// into the cache (banded at the single-crash bound where a
-    /// cache-less solve would be banded, else the full plane), and later
-    /// plans whose platform shares a trailing suffix (e.g. re-plans over
-    /// fault survivors) warm-start from the cached columns the reuse
-    /// rule admits (see [`PlanCache`]). No effect on non-exact
-    /// strategies; makespans are identical with or without the cache.
+    /// Shares a [`PlanCache`]: exact strategies whose solve is banded
+    /// then band at the single-crash bound and store their DP plane into
+    /// the cache, and later banded plans whose platform shares a trailing
+    /// suffix (e.g. re-plans over fault survivors) warm-start from the
+    /// cached columns the reuse rule admits (see [`PlanCache`]). A plan
+    /// on the full plane is a counted miss and empties the cache. No
+    /// effect on non-exact strategies; makespans are identical with or
+    /// without the cache.
     pub fn plan_cache(mut self, cache: Arc<PlanCache>) -> Self {
         self.plan_cache = Some(cache);
         self
@@ -520,10 +528,7 @@ mod tests {
 
     #[test]
     fn displs_are_contiguous_in_scatter_order() {
-        let plan = Planner::new(platform())
-            .strategy(Strategy::Heuristic)
-            .plan(10_000)
-            .unwrap();
+        let plan = Planner::new(platform()).strategy(Strategy::Heuristic).plan(10_000).unwrap();
         let mut offset = 0;
         for &idx in &plan.order {
             assert_eq!(plan.displs[idx], offset);
@@ -551,8 +556,7 @@ mod tests {
         let exact = Planner::new(platform()).strategy(Strategy::Exact).plan(n).unwrap();
         let heur = Planner::new(platform()).strategy(Strategy::Heuristic).plan(n).unwrap();
         assert!(exact.predicted_makespan <= heur.predicted_makespan + 1e-9);
-        let rel =
-            (heur.predicted_makespan - exact.predicted_makespan) / exact.predicted_makespan;
+        let rel = (heur.predicted_makespan - exact.predicted_makespan) / exact.predicted_makespan;
         assert!(rel < 1e-2, "relative gap {rel}");
     }
 
@@ -671,11 +675,8 @@ mod tests {
         // Survivor platform: drop the first worker in scatter order, so
         // the whole remaining suffix of DP columns is reusable.
         let procs = plat.procs();
-        let surv = Platform::new(
-            vec![procs[0].clone(), procs[2].clone(), procs[3].clone()],
-            0,
-        )
-        .unwrap();
+        let surv =
+            Platform::new(vec![procs[0].clone(), procs[2].clone(), procs[3].clone()], 0).unwrap();
         let cold = Planner::new(surv.clone()).strategy(Strategy::Exact).plan(1500).unwrap();
         let warm = Planner::new(surv)
             .strategy(Strategy::Exact)
@@ -747,20 +748,29 @@ mod tests {
     }
 
     #[test]
-    fn plan_cache_on_non_affine_costs_keeps_the_full_plane() {
+    fn plan_cache_on_non_affine_costs_never_reuses_the_full_plane() {
         let mut procs = platform().procs().to_vec();
         procs[2].comp = crate::cost::CostFn::table(vec![(100, 0.4), (5000, 19.0)]);
         let plat = Platform::new(procs.clone(), 0).unwrap();
         let cache = Arc::new(PlanCache::new());
-        let primed = Planner::new(plat)
-            .strategy(Strategy::Exact)
-            .plan_cache(Arc::clone(&cache))
-            .plan(4000)
-            .unwrap();
+        let planner = Planner::new(plat).strategy(Strategy::Exact);
+        let primed = planner.clone().plan_cache(Arc::clone(&cache)).plan(4000).unwrap();
         assert!(!primed.timing.pruned, "tabulated costs seed no band");
-        assert!(!cache.slot.lock().unwrap().as_ref().unwrap().plane.is_banded());
-        // Drop the first worker in scatter order: the survivors' suffix
-        // of full-plane columns is reusable.
+        assert_eq!(cache.misses(), 1);
+        assert!(cache.slot.lock().unwrap().is_none(), "a full plane is not kept");
+        // Even a full plane placed in the cache is never reused: drop the
+        // first worker in scatter order, whose survivors' suffix of
+        // full-plane columns a full-plane warm start could serve.
+        let view = planner.platform().ordered(&primed.order);
+        let opts = ParallelOpts { threads: 1, prune: true, chunk: 0 };
+        let (_, _, plane) =
+            parallel::solve_cached(Kernel::Optimized, &CostTable::new(), &view, 4000, &opts, None)
+                .unwrap();
+        assert!(!plane.is_banded());
+        let sigs: Vec<CostSig> =
+            view.iter().map(|pr| (key_of(&pr.comm), key_of(&pr.comp))).collect();
+        let entry = PlaneEntry { key: PlanCache::key(&sigs), sigs, plane };
+        *cache.slot.lock().unwrap() = Some(entry);
         let surv =
             Platform::new(vec![procs[0].clone(), procs[2].clone(), procs[3].clone()], 0).unwrap();
         let cold = Planner::new(surv.clone()).strategy(Strategy::Exact).plan(1500).unwrap();
@@ -769,10 +779,11 @@ mod tests {
             .plan_cache(Arc::clone(&cache))
             .plan(1500)
             .unwrap();
-        assert_eq!(cache.hits(), 1, "the full plane still warm-starts");
+        assert_eq!((cache.hits(), cache.misses()), (0, 2), "the full plane is a miss");
         assert!(!warm.timing.pruned);
         assert_eq!(warm.counts, cold.counts);
         assert_eq!(warm.predicted_makespan.to_bits(), cold.predicted_makespan.to_bits());
+        assert!(cache.slot.lock().unwrap().is_none(), "the full-plane plan empties the cache");
     }
 
     #[test]
