@@ -1,14 +1,16 @@
 //! §5.2 solver-runtime comparison (Algorithm 1 vs 2 vs heuristic), plus
 //! the machine-readable engine perf trajectory (`BENCH_dp.json`):
 //! serial vs parallel vs pruned Algorithm 2 across `(n, p)` points, and
-//! cold banded plans at the paper's scale (`paper_scale`), so the
-//! planning-cost story is comparable PR-over-PR.
+//! cold banded plans at the paper's scale (`paper_scale`) and at
+//! n = 10⁷ and 10⁹ (`paper_scale.large`), so the planning-cost story is
+//! comparable PR-over-PR.
 //!
 //! Flags: `--basic-cap N` (Algorithm-1 size cap), `--max-n N`,
 //! `--threads T` (parallel variants), `--json PATH` (trajectory output,
 //! default `BENCH_dp.json`), `--smoke` (tiny sizes for CI).
 use gs_bench::experiments::runtimes::{
-    algo_runtimes, dp_band_row, dp_perf_json, dp_perf_trajectory, extrapolate_quadratic,
+    algo_runtimes, dp_band_row, dp_large_band_row, dp_perf_json, dp_perf_trajectory,
+    extrapolate_quadratic,
 };
 use gs_bench::util::{arg_flag, arg_str, arg_usize, fmt_secs};
 use gs_scatter::paper::N_RAYS_1999;
@@ -19,6 +21,32 @@ fn main() {
     let max_n = arg_usize("--max-n", if smoke { 5_000 } else { 100_000 });
     let threads = arg_usize("--threads", 4);
     let json_path = arg_str("--json", "BENCH_dp.json");
+    // Cold exact plans of Table 1 far past the size a full plane holds,
+    // first: the process's peak RSS after them bounds what they needed.
+    // They take milliseconds, so the smoke run keeps the full sizes.
+    println!("banded exact plans, Table 1, p = 16 (cold, serial, through Planner):");
+    let large: Vec<_> = [10_000_000usize, 1_000_000_000].map(dp_large_band_row).into();
+    for r in &large {
+        println!(
+            "  n = {:>13}: Algorithm 2 {}, D&C {}; {} cells, plane {} B, peak RSS {} B; \
+             exact ≡ exact-dc: {}; rational {} <= exact {} <= rounded {}: {}",
+            r.n,
+            fmt_secs(r.exact_secs),
+            fmt_secs(r.dc_secs),
+            r.band_cells,
+            r.band_plane_bytes,
+            r.peak_rss_bytes,
+            r.identical,
+            r.rational_makespan,
+            r.makespan,
+            r.closed_form_makespan,
+            r.within_closed_form(),
+        );
+        assert!(r.identical, "exact and exact-dc diverged at n={}", r.n);
+        assert!(r.within_closed_form(), "the exact plan left the closed-form bounds at n={}", r.n);
+        assert_eq!(r.band_fallbacks, 0, "a banded plan fell back to the full plane");
+    }
+
     let mut ns = vec![1_000usize, 5_000, 20_000, 50_000, 100_000];
     ns.retain(|&n| n <= max_n);
     println!("solver runtimes on the Table-1 platform (p = 16), release-build recommended");
@@ -93,7 +121,7 @@ fn main() {
     );
     assert!(band.identical, "banded plans diverged from the full plane at n={band_n}");
     assert_eq!(band.band_fallbacks, 0, "a banded plan fell back to the full plane");
-    let json = dp_perf_json(&perf, threads, Some(&band));
+    let json = dp_perf_json(&perf, threads, Some((&band, &large)));
     std::fs::write(&json_path, &json).unwrap_or_else(|e| panic!("write {json_path}: {e}"));
     println!("\nperf trajectory written to {json_path}");
 }

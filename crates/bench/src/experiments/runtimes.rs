@@ -319,30 +319,39 @@ pub struct BandRow {
     pub makespan: f64,
 }
 
-/// Runs the [`BandRow`] plans at `(n, p)`. The plane sizes come from the
-/// `plane_bytes` attribute of each plan's `dp.solve` span.
+/// Value of a global counter of the metrics registry.
+fn counter(name: &str) -> u64 {
+    let snap = gs_scatter::metrics::Registry::global().snapshot();
+    snap.counters.iter().find(|c| c.name == name).map_or(0, |c| c.value)
+}
+
+/// One timed plan of `n` items, with the DP plane's bytes from the
+/// `plane_bytes` attribute of its `dp.solve` span (span tracing must be
+/// on).
+fn timed_plan(planner: &Planner, n: usize) -> (f64, Plan, u64) {
+    let t = Instant::now();
+    let plan = planner.plan(n).expect("Table-1 plan");
+    let secs = t.elapsed().as_secs_f64();
+    let bytes = span::take_local()
+        .iter()
+        .rev()
+        .find(|s| s.name == "dp.solve")
+        .and_then(|s| s.attrs.iter().find(|(k, _)| *k == "plane_bytes"))
+        .and_then(|(_, v)| v.parse().ok())
+        .unwrap_or(0);
+    (secs, plan, bytes)
+}
+
+/// Runs the [`BandRow`] plans at `(n, p)`.
 pub fn dp_band_row(n: usize, p: usize) -> BandRow {
     let platform = dp_perf_platform(p);
     let was_tracing = span::enabled();
     span::set_enabled(true);
     span::take_local();
-    let fallbacks = || {
-        let snap = gs_scatter::metrics::Registry::global().snapshot();
-        snap.counters.iter().find(|c| c.name == "dp_band_fallback_total").map_or(0, |c| c.value)
-    };
-    let plan = |strategy: Strategy, threads: usize, prune: bool| -> (f64, Plan, u64) {
-        let planner = Planner::new(platform.clone()).strategy(strategy).threads(threads).prune(prune);
-        let t = Instant::now();
-        let plan = planner.plan(n).expect("Table-1 plan");
-        let secs = t.elapsed().as_secs_f64();
-        let bytes = span::take_local()
-            .iter()
-            .rev()
-            .find(|s| s.name == "dp.solve")
-            .and_then(|s| s.attrs.iter().find(|(k, _)| *k == "plane_bytes"))
-            .and_then(|(_, v)| v.parse().ok())
-            .unwrap_or(0);
-        (secs, plan, bytes)
+    let fallbacks = || counter("dp_band_fallback_total");
+    let plan = |strategy: Strategy, threads: usize, prune: bool| {
+        let planner = Planner::new(platform.clone()).strategy(strategy).threads(threads);
+        timed_plan(&planner.prune(prune), n)
     };
     // The full-plane reference first, then the banded plans.
     let variants = [
@@ -383,18 +392,112 @@ pub fn dp_band_row(n: usize, p: usize) -> BandRow {
     }
 }
 
-/// Renders a trajectory, plus the optional paper-scale [`BandRow`], as
-/// the `BENCH_dp.json` document (hand-rolled, schema field for
-/// PR-over-PR comparability).
-pub fn dp_perf_json(rows: &[DpPerfRow], threads: usize, band: Option<&BandRow>) -> String {
+/// Cold serial exact plans of Table 1 through [`Planner`] at a size
+/// whose full plane does not fit in memory (16 columns of `n + 1` cells
+/// at 12 bytes: 1.9 GB at n = 10⁷, 192 GB at 10⁹). With no full-plane
+/// reference, the plans are checked against each other, bit for bit, and
+/// against the closed form: the rational optimum of the relaxation is
+/// below every integer plan, and the closed form's rounded plan is one,
+/// so `rational <= exact <= rounded`. Every time is the median of
+/// [`DP_REPS`] plans.
+#[derive(Debug, Clone)]
+pub struct LargeBandRow {
+    /// Problem size (items).
+    pub n: usize,
+    /// Banded Algorithm 2, 1 thread, seconds.
+    pub exact_secs: f64,
+    /// Banded D&C kernel, 1 thread, seconds.
+    pub dc_secs: f64,
+    /// DP cells one plan evaluates (`dp_cells_evaluated_total`).
+    pub band_cells: u64,
+    /// Largest DP plane of the plans, bytes.
+    pub band_plane_bytes: u64,
+    /// `dp_band_fallback_total` ticks over the plans (must be 0).
+    pub band_fallbacks: u64,
+    /// Whether every plan of either kernel equals the first Algorithm-2
+    /// plan bit for bit, and ran banded.
+    pub identical: bool,
+    /// The closed form's rational optimum, rounded to `f64`.
+    pub rational_makespan: f64,
+    /// The makespan of the closed form's rounded plan.
+    pub closed_form_makespan: f64,
+    /// The exact plans' makespan.
+    pub makespan: f64,
+    /// The process's peak resident set (`VmHWM`) right after the row's
+    /// plans, bytes; 0 where unavailable.
+    pub peak_rss_bytes: u64,
+}
+
+impl LargeBandRow {
+    /// `rational <= exact <= rounded closed form`, up to a relative 10⁻⁹
+    /// for the rational optimum's rounding to `f64`.
+    pub fn within_closed_form(&self) -> bool {
+        let tol = 1e-9 * self.makespan;
+        self.rational_makespan <= self.makespan + tol
+            && self.makespan <= self.closed_form_makespan + tol
+    }
+}
+
+/// Runs the [`LargeBandRow`] plans at `n`. The process's peak RSS is read
+/// afterwards, so it bounds what the plans needed only when nothing
+/// larger ran before them.
+pub fn dp_large_band_row(n: usize) -> LargeBandRow {
+    let platform = table1_platform();
+    let was_tracing = span::enabled();
+    span::set_enabled(true);
+    span::take_local();
+    let (cells0, fallbacks0) =
+        (counter("dp_cells_evaluated_total"), counter("dp_band_fallback_total"));
+    let runs = median_runs(&[Strategy::Exact, Strategy::ExactDc], |strategy| {
+        let (secs, plan, bytes) =
+            timed_plan(&Planner::new(platform.clone()).strategy(strategy).threads(1), n);
+        (secs, (plan, bytes))
+    });
+    let band_cells = (counter("dp_cells_evaluated_total") - cells0) / (2 * DP_REPS) as u64;
+    let band_fallbacks = counter("dp_band_fallback_total") - fallbacks0;
+    span::set_enabled(was_tracing);
+    let plans = || runs.iter().flat_map(|(_, plans)| plans);
+    let (reference, _) = &runs[0].1[0];
+    let identical = plans().all(|(plan, _)| {
+        plan.counts == reference.counts
+            && plan.predicted_makespan.to_bits() == reference.predicted_makespan.to_bits()
+            && plan.timing.pruned
+    });
+    let view = platform.ordered(&reference.order);
+    let rational = closed_form_distribution(&view, n).expect("Table 1 is linear").duration;
+    let rounded =
+        Planner::new(platform).strategy(Strategy::ClosedForm).plan(n).expect("closed form");
+    LargeBandRow {
+        n,
+        exact_secs: runs[0].0,
+        dc_secs: runs[1].0,
+        band_cells,
+        band_plane_bytes: plans().map(|&(_, bytes)| bytes).max().unwrap_or(0),
+        band_fallbacks,
+        identical,
+        rational_makespan: rational.to_f64(),
+        closed_form_makespan: rounded.predicted_makespan,
+        makespan: reference.predicted_makespan,
+        peak_rss_bytes: super::simexp::peak_rss_bytes(),
+    }
+}
+
+/// Renders a trajectory, plus the optional paper-scale [`BandRow`] and
+/// its [`LargeBandRow`]s, as the `BENCH_dp.json` document (hand-rolled,
+/// schema field for PR-over-PR comparability).
+pub fn dp_perf_json(
+    rows: &[DpPerfRow],
+    threads: usize,
+    band: Option<(&BandRow, &[LargeBandRow])>,
+) -> String {
     let mut out = String::from("{\n");
     out.push_str("  \"bench\": \"dp_perf\",\n  \"schema\": 1,\n");
-    if let Some(b) = band {
+    if let Some((b, large)) = band {
         out.push_str(&format!(
             "  \"paper_scale\": {{\"n\": {}, \"p\": {}, \"exact_secs\": {:.6}, \
              \"exact_2t_secs\": {:.6}, \"dc_secs\": {:.6}, \"dc_2t_secs\": {:.6}, \
              \"full_dc_secs\": {:.6}, \"band_plane_bytes\": {}, \"full_plane_bytes\": {}, \
-             \"band_fallbacks\": {}, \"identical\": {}, \"makespan\": {}}},\n",
+             \"band_fallbacks\": {}, \"identical\": {}, \"makespan\": {}, \"large\": [",
             b.n,
             b.p,
             b.exact_secs,
@@ -408,6 +511,28 @@ pub fn dp_perf_json(rows: &[DpPerfRow], threads: usize, band: Option<&BandRow>) 
             b.identical,
             b.makespan,
         ));
+        for (i, r) in large.iter().enumerate() {
+            out.push_str(&format!(
+                "\n    {{\"n\": {}, \"exact_secs\": {:.6}, \"dc_secs\": {:.6}, \
+                 \"band_cells\": {}, \"band_plane_bytes\": {}, \"band_fallbacks\": {}, \
+                 \"identical\": {}, \"rational_makespan\": {}, \"closed_form_makespan\": {}, \
+                 \"within_closed_form\": {}, \"makespan\": {}, \"peak_rss_bytes\": {}}}{}",
+                r.n,
+                r.exact_secs,
+                r.dc_secs,
+                r.band_cells,
+                r.band_plane_bytes,
+                r.band_fallbacks,
+                r.identical,
+                r.rational_makespan,
+                r.closed_form_makespan,
+                r.within_closed_form(),
+                r.makespan,
+                r.peak_rss_bytes,
+                if i + 1 < large.len() { "," } else { "" },
+            ));
+        }
+        out.push_str("]},\n");
     }
     out.push_str(&format!("  \"threads\": {threads},\n  \"rows\": [\n"));
     for (i, r) in rows.iter().enumerate() {
@@ -502,10 +627,20 @@ mod tests {
         assert!(row.identical, "banded plans must equal the full-plane reference");
         assert_eq!(row.band_fallbacks, 0);
         assert!(row.band_plane_bytes > 0 && row.band_plane_bytes * 20 < row.full_plane_bytes);
-        let json = dp_perf_json(&[], 1, Some(&row));
+        let large = dp_large_band_row(1_000_000);
+        assert!(large.identical, "exact and exact-dc must agree bit for bit");
+        assert_eq!(large.band_fallbacks, 0);
+        assert!(large.within_closed_form(), "{large:?}");
+        assert!(large.band_plane_bytes > 0 && large.band_cells > 0);
+        let json = dp_perf_json(&[], 1, Some((&row, &[large.clone(), large])));
         let doc = gs_scatter::obs::json::parse(&json).unwrap();
         let band = doc.get("paper_scale").unwrap();
         assert_eq!(band.get("n").unwrap().as_u64(), Some(20_000));
+        let rows = band.get("large").unwrap().as_arr().unwrap();
+        assert_eq!(rows.len(), 2);
+        assert_eq!(rows[1].get("n").unwrap().as_u64(), Some(1_000_000));
+        let within = rows[1].get("within_closed_form");
+        assert_eq!(within, Some(&gs_scatter::obs::json::Json::Bool(true)));
     }
 
     #[test]

@@ -54,9 +54,10 @@
 //! `f64` cost and a `u32` backtrack per cell) holding each column as a
 //! contiguous run of cells `(start, cells)`. A full plane holds every
 //! cell `0..=n` of every column; a banded plane holds only the cells the
-//! pruning bound leaves live, and records per column the bound it was
-//! computed under. Keeping a banded plane alive is what lets a re-plan
-//! warm-start from its surviving suffix columns (see
+//! pruning bound leaves live, and records per column the bound and the
+//! band's upper edge it was computed under. Keeping a banded plane alive
+//! is what lets a re-plan warm-start from its surviving suffix columns
+//! (see
 //! [`crate::planner::PlanCache`]): the reused columns are the first ones
 //! it appended, so a warm start truncates the buffers after them and
 //! keeps appending. A full plane is never reused.
@@ -91,6 +92,10 @@ pub(crate) struct ColSpan {
     /// The pruning bound the column was computed under (`+inf` on a
     /// full plane).
     pub bound: f64,
+    /// The band's upper edge the column was computed under (`n` on a
+    /// full plane): the column holds every cell up to it whose value is
+    /// within `bound`.
+    pub edge: usize,
 }
 
 /// Storage of one DP solve: for each of the `p` columns, a contiguous
@@ -190,13 +195,13 @@ impl DpPlane {
         } else {
             i * (self.n + 1) + start
         };
-        self.cols[i] = ColSpan { start, off, len, bound: f64::INFINITY };
+        self.cols[i] = ColSpan { start, off, len, bound: f64::INFINITY, edge: self.n };
     }
 
     /// Records that column `i` was computed under the pruning bound
-    /// `bound`.
-    pub fn set_bound(&mut self, i: usize, bound: f64) {
-        self.cols[i].bound = bound;
+    /// `bound`, in a band whose upper edge is `edge`.
+    pub fn set_band(&mut self, i: usize, bound: f64, edge: usize) {
+        (self.cols[i].bound, self.cols[i].edge) = (bound, edge);
     }
 
     /// Whether this is a banded plane.

@@ -20,9 +20,10 @@
 //!   planner). The solve is seeded with the makespan of a feasible
 //!   distribution, and each column is computed only over the cells a
 //!   plan within that bound can use: from the item count the processors
-//!   before it cannot exceed by the bound, up to the first cell whose
-//!   value exceeds it. On Table 1 at the paper's `n` that is 1.2 MB of a
-//!   157 MB plane. Feasibility is all the band needs from its seed, so
+//!   before it cannot exceed by the bound, up to the count past which the
+//!   prefix's port time plus the suffix's Theorem-1 time exceeds it. On
+//!   Table 1 at the paper's `n` that is 716 cells of a 13-million-cell
+//!   plane. Feasibility is all the band needs from its seed, so
 //!   the seed is the §4 closed form over the costs' slopes computed in
 //!   `f64`, rounded and evaluated with the true costs: no exact
 //!   arithmetic, and no dependence on the closed-form strategy. The
@@ -342,17 +343,19 @@ pub(crate) fn solve_cached(
 ///
 /// A banded solve reuses banded columns, from the root up, while the
 /// column's bound is at least the bound of the band `R` a cold solve of
-/// the new problem would use (the plain seed), and its first cell is at
-/// or below `R`'s. A column's values depend on every
+/// the new problem would use (the plain seed), its first cell is at or
+/// below `R`'s, and its upper edge at or above `R`'s: a column is cut by
+/// its edge as well as by its bound, so the bound alone no longer
+/// proves that it holds `R`'s cells. A column's values depend on every
 /// column below it, and the walk reaches it only when those passed too.
 /// Every cell of `R` a reused column holds then lies between the
 /// full-plane value and the cold banded value: its candidate sets are
 /// supersets of the cold solve's (a larger bound gives larger
-/// capacities and trims later, a lower first cell adds candidates), and
-/// every value is still a minimum over true plan values, so never below
-/// the DP's. The band's argument (see [`Band`]) then applies again: the
-/// same minimisers are kept, so the argmin and its tie-break are
-/// unchanged.
+/// capacities and trims later, a lower first cell and a higher edge add
+/// candidates), and every value is still a minimum over true plan
+/// values, so never below the DP's. The band's argument (see [`Band`])
+/// then applies again: the same minimisers are kept, so the argmin and
+/// its tie-break are unchanged.
 pub(crate) fn reusable(
     plane: &DpPlane,
     kernel: Kernel,
@@ -372,7 +375,8 @@ pub(crate) fn reusable(
         Some(cold) if plane.is_banded() && n <= plane.n => (0..max)
             .take_while(|&k| {
                 let col = plane.span(plane.p - 1 - k);
-                col.bound >= cold.bound && col.start <= cold.lo[p - 1 - k]
+                let i = p - 1 - k;
+                col.bound >= cold.bound && col.start <= cold.lo[i] && col.edge >= cold.hi[i]
             })
             .count(),
         _ => 0,
@@ -553,13 +557,14 @@ fn plain_band(procs: &[&Processor], n: usize) -> Option<Band> {
 }
 
 /// The band of a solve through the cache: at the single-crash bound,
-/// with the root column opened at cell 0. The root column reads no
-/// other column, one cost sum per cell, and holding all its low cells
-/// lets a re-plan of fewer items, whose band starts lower, reuse it.
+/// with the root column opened on every cell from 0 to its capacity.
+/// The root column reads no other column, one cost sum per cell, and
+/// holding all of it lets a re-plan of fewer items, whose band starts
+/// lower and may end higher, reuse it.
 fn cached_band(procs: &[&Processor], n: usize) -> Option<Band> {
     let mut band = Band::new(procs, n, single_crash_bound(procs, n)? * (1.0 + BOUND_MARGIN));
-    if let [_, .., root] = band.lo.as_mut_slice() {
-        *root = 0;
+    if let ([_, .., lo], [_, .., hi]) = (band.lo.as_mut_slice(), band.hi.as_mut_slice()) {
+        (*lo, *hi) = (0, n);
     }
     Some(band)
 }
@@ -660,9 +665,10 @@ fn seed_counts(slopes: &[(f64, f64)], n: usize) -> Vec<usize> {
 /// `β_k · S < 1`, where `S` is `1/D` of the participating suffix after
 /// it. A participant adds `y_k = (1 − β_k S)/(β_k + α_k)` to `S`, giving
 /// `(1 + α_k S)/(α_k + β_k)`: Theorem 1's suffix recurrence for `1/D`.
-/// The `y_k` are also the shared-port dual point of [`Band`]. Calls `join(k)` for each participant and returns
-/// `S` over all of `slopes` (`+inf` when a participant has
-/// `α + β = 0`).
+/// The `y_k` are also the shared-port dual point of [`Band`], and `1/S`
+/// of a suffix is the `D_i` of its upper edge. Calls `join(k)` for each
+/// participant and returns `S` over all of `slopes` (`+inf` when a
+/// participant has `α + β = 0`).
 fn participant_scan(slopes: &[(f64, f64)], mut join: impl FnMut(usize)) -> f64 {
     let mut inv_d = 0.0f64;
     for (k, &(beta, alpha)) in slopes.iter().enumerate().rev() {
@@ -696,9 +702,26 @@ fn participant_scan(slopes: &[(f64, f64)], mut join: impl FnMut(usize)) -> f64 {
 ///   `y_k = max(0, (1 − β_k Σ_{j>k} y_j) / (β_k + α_k))`, capacity
 ///   `bound · Σ y` (inflated by [`BOUND_MARGIN`] for rounding).
 ///
-/// The upper edge of each column needs no formula: column values are
-/// non-decreasing in `d`, so the sweep stops at the first cell whose
-/// value exceeds the bound.
+/// The last cell, `hi[i]`, weighs both sides of the column. Unrolling
+/// the recurrence along a plan through cell `(i, d)` gives
+/// `Σ_{j<i} Tcomm(j, x_j) + V_i(d) <= bound`, where `V_i(d)` is the
+/// column's value. `validate` rejects a negative cost of 0 items, so
+/// intercepts are non-negative and the prefix's sends take at least
+/// `Σ_{j<i} β_j x_j`; its counts sum to `n − d` with `x_j <= cap[j]`, so
+/// that is at least `S_i(n − d)`, the fractional knapsack that fills
+/// `n − d` items from the cheapest links up. By Theorem 1 on the slopes
+/// the suffix needs `V_i(d) >= d·D_i`, with `1/D_i` the
+/// [`participant_scan`] of processors `i..p` (intercepts and integer
+/// counts only add). So `hi[i]` is the largest `d` with
+/// `d·D_i + S_i(n − d) <= bound`, again inflated by [`BOUND_MARGIN`]
+/// ([`upper_edge`]); a column where no `d` qualifies keeps `hi[i] = n`.
+/// Without the prefix's term the edge would sit where the suffix alone,
+/// started at time 0, passes the bound: a fixed share of `n` past the
+/// optimal path. With it, the column ends within the slack between the
+/// bound and the optimum, plus what the knapsack lets the cheapest links
+/// take beyond what a schedule can. The sweep also stops at the first
+/// cell whose value exceeds the bound: column values are non-decreasing
+/// in `d`.
 ///
 /// Every plan within the bound, the optimal ones included, therefore
 /// lies inside the band, and every candidate the band drops has a value
@@ -715,6 +738,8 @@ struct Band {
     /// First live cell of each column (`lo[0] = n`: the top column only
     /// ever needs cell `n`).
     lo: Vec<usize>,
+    /// Last cell of each column a plan within the bound can reach.
+    hi: Vec<usize>,
     /// Largest count each processor can take within the bound, `None`
     /// when even zero items exceed it.
     cap: Vec<Option<usize>>,
@@ -723,7 +748,8 @@ struct Band {
 impl Band {
     /// The band of `bound` for `n` items over `procs`, whose costs are
     /// affine and non-decreasing: O(p log n) cost evaluations (the same
-    /// values a tabulation holds) plus O(p²) for the port capacities.
+    /// values a tabulation holds) plus O(p²) for the port capacities and
+    /// the upper edges.
     fn new(procs: &[&Processor], n: usize, bound: f64) -> Band {
         let cap: Vec<Option<usize>> = procs
             .iter()
@@ -743,15 +769,57 @@ impl Band {
             })
             .collect();
         let slopes = affine_slopes(procs).expect("the band runs on affine costs");
-        let mut lo = Vec::with_capacity(procs.len());
+        let (mut lo, mut hi) = (Vec::with_capacity(procs.len()), Vec::with_capacity(procs.len()));
         let mut before = 0usize;
+        // The prefix's links as `(β, cap)`, cheapest first.
+        let mut links: Vec<(f64, usize)> = Vec::with_capacity(procs.len());
         for (i, c) in cap.iter().enumerate() {
             let port = port_capacity(&slopes[..i], bound).map_or(usize::MAX, |c| c as usize);
             lo.push(n - before.min(port).min(n));
+            let rate = 1.0 / participant_scan(&slopes[i..], |_| ());
+            hi.push(upper_edge(&links, rate, n, bound));
             before = before.saturating_add(c.unwrap_or(0));
+            let beta = slopes[i].0;
+            links.insert(links.partition_point(|&(b, _)| b <= beta), (beta, c.unwrap_or(0)));
         }
-        Band { bound, lo, cap }
+        Band { bound, lo, hi, cap }
     }
+}
+
+/// The largest `d <= n` with `d·D + S(n − d) <= bound` (inflated by
+/// [`BOUND_MARGIN`]), where `D = rate` and `S` is the fractional
+/// knapsack over `links`, the prefix's `(β, cap)` sorted by `β`: the
+/// cheapest port time in which the prefix can take `n − d` items. `n`
+/// when no `d` qualifies. See [`Band`].
+///
+/// Going down from `d = n`, each item the prefix takes instead trades
+/// `D` of suffix time for the `β` of the cheapest link not yet full, so
+/// the left side is convex in `d` and falls only while that `β` is below
+/// `D`. The walk solves for the crossing on each link's segment in
+/// turn, O(i). On the segment where it lies every term is at most about
+/// `bound`, so rounding moves the edge by far less than the margin does.
+fn upper_edge(links: &[(f64, usize)], rate: f64, n: usize, bound: f64) -> usize {
+    let limit = bound * (1.0 + BOUND_MARGIN);
+    // The suffix's `d` at the top of the current segment, and the port
+    // time the prefix has spent to take the other `n − d` items.
+    let (mut top, mut port) = (n as f64, 0.0f64);
+    if top * rate <= limit {
+        return n;
+    }
+    for &(beta, cap) in links {
+        if beta >= rate {
+            break;
+        }
+        // On `d ∈ [top − cap, top]` the left side is
+        // `d·D + port + β·(top − d)`.
+        let d = (limit - port - beta * top) / (rate - beta);
+        if d >= top - cap as f64 {
+            return if d >= 0.0 { (d.floor() as usize).min(n) } else { n };
+        }
+        port += beta * cap as f64;
+        top -= cap as f64;
+    }
+    n
 }
 
 /// Whether both of `pr`'s costs are affine with non-negative slopes, and
@@ -831,27 +899,30 @@ impl Engine {
         let (n, p) = (self.n, self.p);
         let sweep_span = span::span("dp", "dp.sweep");
         let bound = band.map(|b| b.bound);
-        // Column `i`'s first live cell and largest candidate count.
-        let edges = |i: usize| band.map_or(Some((0, n)), |b| b.cap[i].map(|c| (b.lo[i], c)));
+        // Column `i`'s first and last live cells and largest candidate
+        // count.
+        let edges =
+            |i: usize| band.map_or(Some((0, n, n)), |b| b.cap[i].map(|c| (b.lo[i], b.hi[i], c)));
 
         // Base column: the root takes everything that is left. A warm
         // start already holds it (and possibly more trailing columns).
         if reuse == 0 {
             let (comm, comp) = costs[p - 1];
-            let (lo, cap) = edges(p - 1)?;
-            if lo > cap {
+            let (lo, edge, cap) = edges(p - 1)?;
+            let hi = edge.min(cap);
+            if lo > hi {
                 return None;
             }
-            plane.open(p - 1, lo, cap - lo + 1);
+            plane.open(p - 1, lo, hi - lo + 1);
             let (cost, choice) = plane.col_mut(p - 1);
             for (k, (v, e)) in cost.iter_mut().zip(choice.iter_mut()).enumerate() {
                 *v = comm.at(lo + k) + comp.at(lo + k);
                 *e = (lo + k) as u32;
             }
-            self.stats.cells.add((cap - lo + 1) as u64);
-            self.stats.prune_hits.add((n + lo - cap) as u64);
+            self.stats.cells.add((hi - lo + 1) as u64);
+            self.stats.prune_hits.add((n + lo - hi) as u64);
             if let Some(b) = bound {
-                plane.set_bound(p - 1, b);
+                plane.set_band(p - 1, b, edge);
             }
         }
         if p == 1 {
@@ -863,7 +934,7 @@ impl Engine {
         // place. Chunks write disjoint slices of the current column.
         let known = reuse.max(1);
         for i in (1..p - known).rev() {
-            let (lo, cap) = edges(i)?;
+            let (lo, edge, cap) = edges(i)?;
             let next = plane.span(i + 1);
             // Cells below the previous column's first have no candidate.
             // A reused column may start above this band's edge: it was
@@ -871,7 +942,7 @@ impl Engine {
             let lo = lo.max(next.start);
             // Cells past the previous column's last live cell plus this
             // processor's capacity have no live candidate.
-            let hi = (next.start + next.len - 1 + cap).min(n);
+            let hi = (next.start + next.len - 1 + cap).min(edge);
             if lo > hi {
                 return None;
             }
@@ -892,14 +963,14 @@ impl Engine {
             self.stats.prune_hits.add((n + 1 - (hi - lo + 1)) as u64);
             plane.trim(i, live);
             if let Some(b) = bound {
-                plane.set_bound(i, b);
+                plane.set_band(i, b, edge);
             }
         }
 
         // Top column: reconstruction starts at (d = n, i = 0), so only
         // that single cell is ever read — compute just it (as
         // `start = n, len = 1`: never reusable by a warm start).
-        let (_, cap) = edges(0)?;
+        let (_, _, cap) = edges(0)?;
         let next = plane.span(1);
         plane.open(0, n, 1);
         let (cur, choice, prev) = plane.column_mut(0);
@@ -1555,6 +1626,73 @@ pub(crate) mod tests {
                 solve_seeded(kernel, &table, &v, n, &opts, Some(warm), low).unwrap();
             assert_bit_identical(&sol, &full, &format!("{kernel:?} warm, after fallback"));
             assert!(!timing.pruned, "the warm answer came from the full plane");
+        }
+    }
+
+    /// Random platforms of up to 8 processors, root last: linear,
+    /// affine, or affine with intercepts up to 50 s against slopes of at
+    /// most 0.03 s.
+    fn random_platform() -> impl proptest::strategy::Strategy<Value = Vec<Processor>> {
+        use proptest::prelude::*;
+        let worker = (0u8..3, 0u32..=5000, 1u32..=300, 0u32..=5000, 1u32..=300);
+        (proptest::collection::vec(worker, 1..8), 1u32..=300).prop_map(|(workers, root_a)| {
+            let mut procs: Vec<Processor> = workers
+                .into_iter()
+                .enumerate()
+                .map(|(i, (kind, bi, b, ai, a))| {
+                    let name = format!("w{i}");
+                    let (b, a) = (b as f64, a as f64);
+                    match kind {
+                        0 => Processor::linear(name, b * 1e-3, a * 1e-2),
+                        1 => Processor::affine(
+                            name,
+                            (bi % 51) as f64 * 1e-2,
+                            b * 1e-3,
+                            (ai % 51) as f64 * 1e-2,
+                            a * 1e-2,
+                        ),
+                        _ => Processor::affine(
+                            name,
+                            bi as f64 * 1e-2,
+                            b * 1e-5,
+                            ai as f64 * 1e-2,
+                            a * 1e-4,
+                        ),
+                    }
+                })
+                .collect();
+            procs.sort_by(|x, y| {
+                let beta = |p: &Processor| p.comm.affine_params().unwrap().1;
+                beta(x).total_cmp(&beta(y))
+            });
+            procs.push(Processor::linear("root", 0.0, root_a as f64 * 1e-2));
+            procs
+        })
+    }
+
+    proptest::proptest! {
+        /// The band at the full-plane optimum × (1 + [`BOUND_MARGIN`]),
+        /// the tightest bound a seed can give, and at the optimum itself:
+        /// every edge is then as close to the optimal path as it gets, so
+        /// an `f64` slip in `D_i` or `S_i`, or an edge without its own
+        /// margin, drops an optimal cell and shows as a fallback or a
+        /// different answer.
+        #[test]
+        fn band_at_the_optimum_is_bit_identical(ps in random_platform(), n in 0usize..=3000) {
+            let v = view(&ps);
+            let full = serial_solve(Dc, &v, n).unwrap();
+            for bound in [full.makespan * (1.0 + BOUND_MARGIN), full.makespan] {
+                let tight = |v: &[&Processor], n: usize| Some(Band::new(v, n, bound));
+                for kernel in [Optimized, Dc] {
+                    let opts = ParallelOpts { threads: 1, prune: true, chunk: 0 };
+                    let (sol, timing, _) =
+                        solve_seeded(kernel, &CostTable::new(), &v, n, &opts, None, tight).unwrap();
+                    let what = format!("{kernel:?} at {bound}");
+                    proptest::prop_assert!(timing.pruned, "{}: the band fell back", what);
+                    proptest::prop_assert_eq!(&sol.counts, &full.counts);
+                    proptest::prop_assert_eq!(sol.makespan.to_bits(), full.makespan.to_bits());
+                }
+            }
         }
     }
 

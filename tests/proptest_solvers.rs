@@ -255,7 +255,7 @@ proptest! {
     }
 
     /// Same contract on affine costs (non-zero intercepts shift every
-    /// crossing point; the split recursion must not care).
+    /// crossing point; the stepped sweep must not care).
     #[test]
     fn dc_kernel_matches_algorithm_2_affine(platform in affine_platform_strategy(5), n in 0usize..=200) {
         let order = scatter_order(&platform, OrderPolicy::DescendingBandwidth);
@@ -286,7 +286,7 @@ proptest! {
     }
 }
 
-/// Degenerate shapes the split recursion must survive: no items, fewer
+/// Degenerate shapes the stepped sweep must survive: no items, fewer
 /// items than processors, and a single (root-only) platform.
 #[test]
 fn dc_kernel_degenerate_shapes() {
