@@ -13,7 +13,7 @@
 //!   serial Algorithm 2 at n = 100 000, p = 64;
 //! * `--serve-full` (default `BENCH_serve.json`): daemon warm
 //!   throughput ≥ 10 000 req/s with sub-millisecond p50;
-//! * `--sim-full` (default `BENCH_sim.json`): calendar-queue fast path
+//! * `--sim-full` (default `BENCH_sim.json`): prefix-sum fast path
 //!   ≥ 10× events/sec over the seed heap engine on at least one
 //!   classic-timed row with p ≥ 10⁴ (the 10⁷ row in the committed
 //!   document).

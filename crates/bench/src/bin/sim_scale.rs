@@ -1,6 +1,6 @@
 //! Million-rank simulation capacity sweep: times the classic engine —
-//! a binary heap of boxed closures — against the calendar-queue fast
-//! path on the synthetic heterogeneous star (docs/simulation.md),
+//! a binary heap of boxed closures — against the prefix-sum fast path
+//! on the synthetic heterogeneous star (docs/simulation.md),
 //! executes one plan on the pooled gs-minimpi runtime, and writes the
 //! `BENCH_sim.json` document the docs and the bench gate reference.
 //!
@@ -38,7 +38,7 @@ fn main() {
     let default_path = if smoke { "BENCH_sim.smoke.json" } else { "BENCH_sim.json" };
     let path = arg_str("--json", default_path);
 
-    header("sim_scale: classic engine vs calendar-queue fast path");
+    header("sim_scale: classic engine vs prefix-sum fast path");
     println!(
         "sweep p = {:?}, {} item(s)/rank, classic baseline up to p = {}, pooled \
          execution at p = {} on {} worker(s)",

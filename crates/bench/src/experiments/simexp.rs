@@ -1,10 +1,10 @@
 //! Million-rank simulation capacity sweep (`sim_scale` binary): times
-//! the classic engine — a binary heap of boxed closures — against the calendar-queue fast path
-//! ([`gs_gridsim::simulate_star`]) on the deterministic synthetic star
+//! the classic engine — a binary heap of boxed closures — against the
+//! prefix-sum fast path ([`gs_gridsim::simulate_star`]) on the deterministic synthetic star
 //! of docs/simulation.md, then executes one plan on the pooled
 //! gs-minimpi runtime and diffs the virtual clocks bit-for-bit.
 //!
-//! Deterministic fields (event counts, queue peaks, makespans, the
+//! Deterministic fields (event counts, makespans, the
 //! classic/fast and simulated/executed agreement booleans) feed the
 //! `bench_gate` smoke baseline (`BENCH_sim.smoke.json`); wall-clock
 //! fields (seconds, events/sec, speedup, peak RSS) are recorded in the
@@ -76,8 +76,6 @@ pub struct SimScaleRow {
     pub items: u64,
     /// Simulator events processed (4 per rank).
     pub events: u64,
-    /// Peak pending events in the calendar queue.
-    pub queue_peak: usize,
     /// Simulated makespan, seconds of virtual time.
     pub makespan: f64,
     /// Classic engine agreed with the fast path bit-for-bit (`true`
@@ -86,7 +84,7 @@ pub struct SimScaleRow {
     /// Classic engine (binary heap of boxed closures) wall seconds
     /// (0 = not run at this p).
     pub classic_secs: f64,
-    /// Calendar-queue fast-path wall seconds.
+    /// Prefix-sum fast-path wall seconds.
     pub fast_secs: f64,
     /// Classic engine throughput, events per wall second (0 = not run).
     pub classic_events_per_sec: f64,
@@ -187,7 +185,6 @@ pub fn sim_scale_row(p: usize, items_per_rank: u64, classic: bool) -> SimScaleRo
         p,
         items,
         events,
-        queue_peak: fast.queue_peak,
         makespan: fast.makespan,
         identical,
         classic_secs,
@@ -279,14 +276,13 @@ pub fn sim_scale_json(r: &SimScaleReport) -> String {
 /// report a row measured in a fresh subprocess.
 pub fn sim_row_json(row: &SimScaleRow) -> String {
     format!(
-        "{{\"p\": {}, \"items\": {}, \"events\": {}, \"queue_peak\": {}, \
+        "{{\"p\": {}, \"items\": {}, \"events\": {}, \
          \"makespan\": {:.9}, \"identical\": {}, \"classic_secs\": {:.4}, \
          \"fast_secs\": {:.4}, \"classic_events_per_sec\": {:.0}, \
          \"fast_events_per_sec\": {:.0}, \"speedup\": {:.2}, \"peak_rss_bytes\": {}}}",
         row.p,
         row.items,
         row.events,
-        row.queue_peak,
         row.makespan,
         row.identical,
         row.classic_secs,
@@ -311,7 +307,6 @@ pub fn sim_row_from_json(text: &str) -> Result<SimScaleRow, String> {
         p: u("p")? as usize,
         items: u("items")?,
         events: u("events")?,
-        queue_peak: u("queue_peak")? as usize,
         makespan: f("makespan")?,
         identical,
         classic_secs: f("classic_secs")?,
@@ -346,7 +341,6 @@ mod tests {
             assert!(ra.identical, "classic and fast engines diverged at p={}", ra.p);
             assert_eq!(ra.events, 4 * ra.p as u64);
             assert_eq!(ra.makespan.to_bits(), rb.makespan.to_bits());
-            assert_eq!(ra.queue_peak, rb.queue_peak);
             assert!(ra.fast_secs > 0.0);
             assert!(ra.classic_secs > 0.0);
         }
@@ -389,7 +383,6 @@ mod tests {
         let back = sim_row_from_json(&sim_row_json(&row)).unwrap();
         assert_eq!(back.p, row.p);
         assert_eq!(back.events, row.events);
-        assert_eq!(back.queue_peak, row.queue_peak);
         assert_eq!(back.identical, row.identical);
         assert_eq!(back.peak_rss_bytes, row.peak_rss_bytes);
         assert!((back.makespan - row.makespan).abs() < 1e-9);

@@ -295,7 +295,6 @@ pub fn check_sim(baseline: &Json, fresh: &SimScaleReport, tol: f64) -> Vec<Strin
         check(&mut bad, &ctx, exact_u64(row, "p", f.p as u64));
         check(&mut bad, &ctx, exact_u64(row, "items", f.items));
         check(&mut bad, &ctx, exact_u64(row, "events", f.events));
-        check(&mut bad, &ctx, exact_u64(row, "queue_peak", f.queue_peak as u64));
         check(&mut bad, &ctx, close_f64(row, "makespan", f.makespan, tol));
         match row.get("identical").and_then(as_bool) {
             Some(b) if b == f.identical => {}
@@ -548,7 +547,6 @@ mod tests {
                 p: 10_000,
                 items: 100_000,
                 events: 40_000,
-                queue_peak: 321,
                 makespan: 1.5,
                 identical: true,
                 classic_secs: 2.0,

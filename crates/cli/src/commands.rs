@@ -388,9 +388,9 @@ pub fn cmd_trace(
             simulate_plan_ft(&platform, &plan, &fp, recovery_of(opts).as_ref())?
                 .trace(&names, item_bytes as u64)
         }
-        ("executed", None) => run_executed(&platform, &plan, &names, &counts, item_bytes),
+        ("executed", None) => run_executed(&platform, &plan, &names, &counts, item_bytes)?,
         ("executed", Some(fp)) => {
-            run_executed_ft(&platform, &plan, &names, &counts, item_bytes, fp, opts)
+            run_executed_ft(&platform, &plan, &names, &counts, item_bytes, fp, opts)?
         }
         (other, _) => {
             return Err(CliError(format!(
@@ -404,6 +404,23 @@ pub fn cmd_trace(
     Ok(trace_to_json(&trace))
 }
 
+/// Largest payload an executed run scatters, in bytes. The root holds the
+/// whole payload in memory, so a larger one is refused before any rank
+/// starts instead of aborting the process when the allocation fails.
+const EXECUTED_PAYLOAD_CAP: usize = 1 << 30;
+
+/// Size in bytes of an executed run's payload of `items` items of
+/// `item_bytes` bytes each, checked against [`EXECUTED_PAYLOAD_CAP`].
+fn executed_payload_bytes(items: usize, item_bytes: usize) -> Result<usize, CliError> {
+    items.checked_mul(item_bytes).filter(|&b| b <= EXECUTED_PAYLOAD_CAP).ok_or_else(|| {
+        CliError(format!(
+            "an executed run of {items} items of {item_bytes} bytes exceeds the {} MiB \
+             payload cap",
+            EXECUTED_PAYLOAD_CAP >> 20
+        ))
+    })
+}
+
 /// Runs the plan on the gs-minimpi runtime and merges the per-rank
 /// records into an executed trace. World rank `r` plays the processor at
 /// scatter position `r` (root last), so the runtime's rank-ordered
@@ -414,24 +431,20 @@ fn run_executed(
     names: &[&str],
     counts: &[usize],
     item_bytes: usize,
-) -> Trace {
+) -> Result<Trace, CliError> {
+    let total_bytes = executed_payload_bytes(counts.iter().sum(), item_bytes)?;
     let model = TimeModel::from_platform(platform, item_bytes).reordered(&plan.order);
     let p = platform.len();
     let root = p - 1;
     let counts_bytes: Vec<usize> = counts.iter().map(|c| c * item_bytes).collect();
-    let total_bytes: usize = counts_bytes.iter().sum();
     let records = run_world(p, WorldConfig::with_time(model), move |c| {
         c.enable_tracing();
-        let buf = vec![0u8; total_bytes];
-        let mine = c.scatterv(
-            root,
-            if c.rank() == root { Some(&buf) } else { None },
-            &counts_bytes,
-        );
+        let buf = (c.rank() == root).then(|| vec![0u8; total_bytes]);
+        let mine = c.scatterv(root, buf.as_deref(), &counts_bytes);
         c.model_compute(mine.len() / item_bytes);
         c.take_trace()
     });
-    executed_trace(names, item_bytes as u64, &records)
+    Ok(executed_trace(names, item_bytes as u64, &records))
 }
 
 /// Runs the plan on the fault-tolerant gs-minimpi path
@@ -446,7 +459,9 @@ fn run_executed_ft(
     item_bytes: usize,
     faults: FaultPlan,
     opts: &PlanOptions,
-) -> Trace {
+) -> Result<Trace, CliError> {
+    let total: usize = counts.iter().sum();
+    executed_payload_bytes(total, std::mem::size_of::<u64>())?;
     let p = platform.len();
     let config = FtConfig {
         faults,
@@ -457,15 +472,10 @@ fn run_executed_ft(
     let recovered = config.recovery.is_some();
     let counts = counts.to_vec();
     let root = p - 1;
-    let total: usize = counts.iter().sum();
     let out = run_world(p, WorldConfig::default(), move |c| {
         c.enable_tracing();
-        let buf = vec![0u64; total];
-        let mine = c.scatterv_ft(
-            &config,
-            if c.rank() == root { Some(&buf) } else { None },
-            &counts,
-        );
+        let buf = (c.rank() == root).then(|| vec![0u64; total]);
+        let mine = c.scatterv_ft(&config, buf.as_deref(), &counts);
         c.model_compute_ft(&config, mine.len());
         (c.take_trace(), c.take_incidents())
     });
@@ -473,7 +483,7 @@ fn run_executed_ft(
     let mut trace = executed_trace(names, item_bytes as u64, &records);
     trace.label = Some(if recovered { "recovered" } else { "degraded" }.to_string());
     trace.incidents = out[root].1.clone();
-    trace
+    Ok(trace)
 }
 
 /// `gs report`: ingests 1–3 exported JSON traces, validates them, and
@@ -588,7 +598,7 @@ fn run_metrics_workload(
         }
         None => {
             simulate_plan(&platform, &plan, &[]);
-            run_executed(&platform, &plan, &names, &counts, item_bytes);
+            run_executed(&platform, &plan, &names, &counts, item_bytes)?;
         }
     }
     Ok(())
@@ -623,7 +633,7 @@ const SIM_TRACE_MAX_RANKS: usize = 10_000;
 
 /// `gs sim`: simulates a scatter + compute phase on the deterministic
 /// synthetic heterogeneous star (`docs/simulation.md`) at `--ranks`
-/// scale, on the calendar-queue fast path. With `--pool T` the same
+/// scale, on the prefix-sum fast path. With `--pool T` the same
 /// plan is then *executed* on the pooled gs-minimpi runtime and the
 /// per-rank virtual clocks are compared bit-for-bit against the
 /// simulated finish times.
@@ -664,10 +674,10 @@ pub fn cmd_sim(opts: &SimOptions) -> Result<String, CliError> {
         return Ok(trace_to_json(&trace));
     }
 
-    let mut out = format!("sim: ranks={} items={items} engine=calendar\n", opts.ranks);
+    let mut out = format!("sim: ranks={} items={items} engine=prefix-sum\n", opts.ranks);
     out.push_str(&format!(
-        "sim: events={} queue-peak={} makespan={:.6}s\n",
-        sim.events_processed, sim.queue_peak, sim.makespan
+        "sim: events={} makespan={:.6}s\n",
+        sim.events_processed, sim.makespan
     ));
     if !opts.smoke {
         out.push_str(&format!(
@@ -1000,7 +1010,7 @@ mod tests {
         let a = cmd_sim(&o).unwrap();
         let b = cmd_sim(&o).unwrap();
         assert_eq!(a, b);
-        assert!(a.contains("sim: ranks=1000 items=10000 engine=calendar"), "{a}");
+        assert!(a.contains("sim: ranks=1000 items=10000 engine=prefix-sum"), "{a}");
         assert!(a.contains("sim: events=4000"), "{a}");
         assert!(!a.contains("wall="), "smoke output must omit wall-clock: {a}");
         let timed = cmd_sim(&SimOptions { smoke: false, ..sim_opts(1000) }).unwrap();
@@ -1436,6 +1446,26 @@ mod tests {
         assert!(out.contains("ft_sends_total"), "{out}");
         assert!(out.contains("ft_replans_total"), "{out}");
         assert!(cmd_metrics(PLATFORM, &opts(500), 0).is_err());
+    }
+
+    #[test]
+    fn executed_payload_past_the_cap_is_a_typed_error() {
+        // 10^9 items of 8 bytes: 8 GB, which once aborted the process on
+        // allocation. The cap refuses it before any rank starts.
+        let table1 = cmd_table1();
+        let big = PlanOptions { strategy: "exact".into(), ..opts(1_000_000_000) };
+        let err = cmd_metrics(&table1, &big, 8).unwrap_err();
+        assert!(err.0.contains("payload cap"), "{}", err.0);
+        let err = cmd_trace(&table1, &big, "executed", 8).unwrap_err();
+        assert!(err.0.contains("payload cap"), "{}", err.0);
+        // The fault-tolerant path scatters `u64` items: 2·10^8 of them
+        // are 1.6 GB.
+        let ft = fault_opts(200_000_000, "crash:w1@0.01", false);
+        let err = cmd_trace(PLATFORM, &ft, "executed", 8).unwrap_err();
+        assert!(err.0.contains("payload cap"), "{}", err.0);
+        // The byte count itself overflowing is the same error.
+        assert!(executed_payload_bytes(usize::MAX, 8).is_err());
+        assert_eq!(executed_payload_bytes(1 << 27, 8).unwrap(), EXECUTED_PAYLOAD_CAP);
     }
 
     #[test]

@@ -105,6 +105,26 @@ impl CostFn {
         }
     }
 
+    /// The function scaled by the constant factor `k`, keeping its variant
+    /// (so linearity/affinity — and with them the fast strategies —
+    /// survive the scaling).
+    pub fn scaled(&self, k: f64) -> CostFn {
+        match self {
+            CostFn::Zero => CostFn::Zero, // k · 0 = 0
+            CostFn::Linear { slope } => CostFn::Linear { slope: slope * k },
+            CostFn::Affine { intercept, slope } => {
+                CostFn::Affine { intercept: intercept * k, slope: slope * k }
+            }
+            CostFn::Table { points } => {
+                CostFn::table(points.iter().map(|&(x, y)| (x, y * k)).collect())
+            }
+            CostFn::Custom(f) => {
+                let f = f.clone();
+                CostFn::Custom(Arc::new(move |x| f(x) * k))
+            }
+        }
+    }
+
     /// Cheap sanity check that the function is non-decreasing over a probe
     /// grid up to `n`. A `false` result is definitive; `true` is only
     /// evidence (the probe is sampled).
@@ -198,16 +218,8 @@ impl Processor {
     /// (β = s/item over the link, α = s/item of compute — the columns of
     /// the paper's Table 1).
     pub fn linear(name: impl Into<String>, beta: f64, alpha: f64) -> Self {
-        let comm = if beta == 0.0 {
-            CostFn::Zero
-        } else {
-            CostFn::Linear { slope: beta }
-        };
-        Processor {
-            name: name.into(),
-            comm,
-            comp: CostFn::Linear { slope: alpha },
-        }
+        let comm = if beta == 0.0 { CostFn::Zero } else { CostFn::Linear { slope: beta } };
+        Processor { name: name.into(), comm, comp: CostFn::Linear { slope: alpha } }
     }
 
     /// A processor with affine costs
@@ -336,6 +348,24 @@ mod tests {
     }
 
     #[test]
+    fn scaling_keeps_the_variant_and_scales_every_value() {
+        let lin = CostFn::Linear { slope: 2.0 }.scaled(3.0);
+        assert_eq!(lin.linear_slope(), Some(6.0));
+        assert_eq!(lin.eval(10), 60.0);
+        let aff = CostFn::Affine { intercept: 1.0, slope: 2.0 }.scaled(2.0);
+        assert_eq!(aff.affine_params(), Some((2.0, 4.0)));
+        assert_eq!(aff.eval(10), 42.0);
+        let tab = CostFn::table(vec![(0, 1.0), (10, 5.0)]).scaled(2.0);
+        assert!(matches!(tab, CostFn::Table { .. }));
+        assert_eq!(tab.eval(10), 10.0);
+        assert_eq!(tab.eval(5), 6.0);
+        let cus = CostFn::Custom(Arc::new(|x| x as f64)).scaled(5.0);
+        assert!(matches!(cus, CostFn::Custom(_)));
+        assert_eq!(cus.eval(3), 15.0);
+        assert!(matches!(CostFn::Zero.scaled(9.0), CostFn::Zero));
+    }
+
+    #[test]
     fn affine_eval_charges_intercept_at_zero() {
         let f = CostFn::Affine { intercept: 2.0, slope: 0.5 };
         assert_eq!(f.eval(0), 2.0);
@@ -439,10 +469,7 @@ mod tests {
     #[test]
     fn validate_rejects_nan() {
         let p = Processor::custom("bad", |_| f64::NAN, |x| x as f64);
-        assert!(matches!(
-            p.validate(3, 100),
-            Err(PlanError::InvalidCost { proc: 3, .. })
-        ));
+        assert!(matches!(p.validate(3, 100), Err(PlanError::InvalidCost { proc: 3, .. })));
         let good = Processor::linear("ok", 1e-5, 1e-3);
         assert!(good.validate(0, 100).is_ok());
     }

@@ -25,6 +25,26 @@ pub struct Timeline {
 }
 
 impl Timeline {
+    /// Eq. (1) from per-position `(transfer, compute)` durations, in
+    /// scatter order: the root's port is one prefix sum of the transfers,
+    /// and each processor computes from the end of its own.
+    pub fn from_durations(durations: impl ExactSizeIterator<Item = (f64, f64)>) -> Timeline {
+        let p = durations.len();
+        let mut tl = Timeline {
+            comm_start: Vec::with_capacity(p),
+            comm_end: Vec::with_capacity(p),
+            finish: Vec::with_capacity(p),
+        };
+        let mut clock = 0.0f64; // root's outgoing-port availability
+        for (comm, comp) in durations {
+            tl.comm_start.push(clock);
+            clock += comm;
+            tl.comm_end.push(clock);
+            tl.finish.push(clock + comp);
+        }
+        tl
+    }
+
     /// The overall makespan (Eq. 2).
     pub fn makespan(&self) -> f64 {
         self.finish.iter().copied().fold(0.0, f64::max)
@@ -41,11 +61,7 @@ impl Timeline {
     /// the global makespan.
     pub fn total_idle(&self) -> f64 {
         let t = self.makespan();
-        self.comm_start
-            .iter()
-            .zip(&self.finish)
-            .map(|(s, f)| s + (t - f))
-            .sum()
+        self.comm_start.iter().zip(&self.finish).map(|(s, f)| s + (t - f)).sum()
     }
 
     /// Load-imbalance ratio: `(max finish − min finish) / max finish`,
@@ -69,18 +85,9 @@ impl Timeline {
 /// Panics if `procs` and `counts` have different lengths.
 pub fn timeline(procs: &[&Processor], counts: &[usize]) -> Timeline {
     assert_eq!(procs.len(), counts.len(), "one count per processor");
-    let p = procs.len();
-    let mut comm_start = Vec::with_capacity(p);
-    let mut comm_end = Vec::with_capacity(p);
-    let mut finish = Vec::with_capacity(p);
-    let mut clock = 0.0f64; // root's outgoing-port availability
-    for i in 0..p {
-        comm_start.push(clock);
-        clock += procs[i].comm.eval(counts[i]);
-        comm_end.push(clock);
-        finish.push(clock + procs[i].comp.eval(counts[i]));
-    }
-    Timeline { comm_start, comm_end, finish }
+    Timeline::from_durations(
+        procs.iter().zip(counts).map(|(p, &c)| (p.comm.eval(c), p.comp.eval(c))),
+    )
 }
 
 /// Per-processor finish times `T_i` (Eq. 1), in scatter order.
@@ -169,9 +176,11 @@ mod tests {
 
     #[test]
     fn idle_time_measures_stair() {
-        let ps = [Processor::linear("a", 1.0, 0.0),
+        let ps = [
+            Processor::linear("a", 1.0, 0.0),
             Processor::linear("b", 1.0, 0.0),
-            Processor::linear("root", 0.0, 0.0)];
+            Processor::linear("root", 0.0, 0.0),
+        ];
         let view: Vec<&Processor> = ps.iter().collect();
         // a: comm [0,2] finish 2; b: comm [2,4] finish 4; root finish 4.
         let tl = timeline(&view, &[2, 2, 0]);

@@ -34,7 +34,7 @@
 
 use std::sync::Arc;
 
-use crate::cost::{CostFn, Platform, Processor};
+use crate::cost::{Platform, Processor};
 use crate::error::PlanError;
 use crate::obs::span;
 use crate::obs::{Incident, IncidentKind};
@@ -423,37 +423,15 @@ impl FaultPlan {
         for (pos, &idx) in order.iter().enumerate() {
             if let Some((start, factor)) = self.slowdown(pos) {
                 if t >= start {
-                    procs[idx].comp = scale_cost(&procs[idx].comp, factor);
+                    procs[idx].comp = procs[idx].comp.scaled(factor);
                 }
             }
             let lf = self.link_factor(pos);
             if lf != 1.0 {
-                procs[idx].comm = scale_cost(&procs[idx].comm, lf);
+                procs[idx].comm = procs[idx].comm.scaled(lf);
             }
         }
         Platform::new(procs, platform.root())
-    }
-}
-
-/// A cost function scaled by a constant factor, preserving the variant
-/// (so linearity/affinity — and with them the fast strategies — survive
-/// the scaling).
-fn scale_cost(f: &CostFn, k: f64) -> CostFn {
-    match f {
-        CostFn::Zero => {
-            CostFn::Zero // k · 0 = 0
-        }
-        CostFn::Linear { slope } => CostFn::Linear { slope: slope * k },
-        CostFn::Affine { intercept, slope } => {
-            CostFn::Affine { intercept: intercept * k, slope: slope * k }
-        }
-        CostFn::Table { points } => {
-            CostFn::table(points.iter().map(|&(x, y)| (x, y * k)).collect())
-        }
-        CostFn::Custom(inner) => {
-            let inner = inner.clone();
-            CostFn::Custom(std::sync::Arc::new(move |x| inner(x) * k))
-        }
     }
 }
 

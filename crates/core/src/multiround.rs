@@ -86,7 +86,10 @@ pub fn plan_identical_rounds(
 /// Re-plans a platform whose processor compute rates are scaled by
 /// instantaneous load factors (`>= 1` = slowed down), as reported by a
 /// monitor. Returns a platform with adjusted compute costs.
-pub fn platform_under_load(platform: &Platform, load_factors: &[f64]) -> Result<Platform, PlanError> {
+pub fn platform_under_load(
+    platform: &Platform,
+    load_factors: &[f64],
+) -> Result<Platform, PlanError> {
     if load_factors.len() != platform.len() {
         return Err(PlanError::InvalidPlatform(format!(
             "need one load factor per processor ({} != {})",
@@ -94,38 +97,20 @@ pub fn platform_under_load(platform: &Platform, load_factors: &[f64]) -> Result<
             platform.len()
         )));
     }
+    if let Some(f) = load_factors.iter().find(|f| !(f.is_finite() && **f > 0.0)) {
+        return Err(PlanError::InvalidPlatform(format!("invalid load factor {f}")));
+    }
     let procs = platform
         .procs()
         .iter()
         .zip(load_factors)
         .map(|(p, &f)| {
-            assert!(f.is_finite() && f > 0.0, "invalid load factor {f}");
             let mut p = p.clone();
-            p.comp = scale_cost(&p.comp, f);
+            p.comp = p.comp.scaled(f);
             p
         })
         .collect();
     Platform::new(procs, platform.root())
-}
-
-fn scale_cost(cost: &crate::cost::CostFn, factor: f64) -> crate::cost::CostFn {
-    use crate::cost::CostFn;
-    match cost {
-        // Zero stays zero under any scaling.
-        CostFn::Zero => CostFn::Zero,
-        CostFn::Linear { slope } => CostFn::Linear { slope: slope * factor },
-        CostFn::Affine { intercept, slope } => CostFn::Affine {
-            intercept: intercept * factor,
-            slope: slope * factor,
-        },
-        CostFn::Table { points } => CostFn::table(
-            points.iter().map(|&(x, y)| (x, y * factor)).collect(),
-        ),
-        CostFn::Custom(f) => {
-            let f = f.clone();
-            CostFn::Custom(std::sync::Arc::new(move |x| f(x) * factor))
-        }
-    }
 }
 
 #[cfg(test)]
@@ -176,13 +161,8 @@ mod tests {
         // must give it less work.
         let base = platform();
         let mp = plan_rounds_with(&[10_000, 10_000], |round, _start| {
-            let factors = if round == 0 {
-                vec![1.0, 1.0, 1.0]
-            } else {
-                vec![1.0, 4.0, 1.0]
-            };
-            Ok(Planner::new(platform_under_load(&base, &factors)?)
-                .strategy(Strategy::Heuristic))
+            let factors = if round == 0 { vec![1.0, 1.0, 1.0] } else { vec![1.0, 4.0, 1.0] };
+            Ok(Planner::new(platform_under_load(&base, &factors)?).strategy(Strategy::Heuristic))
         })
         .unwrap();
         assert!(
@@ -202,28 +182,20 @@ mod tests {
         let static_plan = Planner::new(base).strategy(Strategy::Heuristic).plan(10_000).unwrap();
         // Evaluate the static counts on the loaded platform.
         let view = loaded.ordered(&static_plan.order);
-        let static_on_loaded =
-            crate::distribution::makespan(&view, &static_plan.counts_in_order());
+        let static_on_loaded = crate::distribution::makespan(&view, &static_plan.counts_in_order());
         let adaptive = Planner::new(loaded).strategy(Strategy::Heuristic).plan(10_000).unwrap();
         assert!(adaptive.predicted_makespan < static_on_loaded);
     }
 
     #[test]
-    fn load_scaling_applies_to_all_cost_shapes() {
-        use crate::cost::CostFn;
-        let lin = scale_cost(&CostFn::Linear { slope: 2.0 }, 3.0);
-        assert_eq!(lin.eval(10), 60.0);
-        let aff = scale_cost(&CostFn::Affine { intercept: 1.0, slope: 2.0 }, 2.0);
-        assert_eq!(aff.eval(10), 42.0);
-        let tab = scale_cost(&CostFn::table(vec![(10, 5.0)]), 2.0);
-        assert_eq!(tab.eval(10), 10.0);
-        let cus = scale_cost(&CostFn::Custom(std::sync::Arc::new(|x| x as f64)), 5.0);
-        assert_eq!(cus.eval(3), 15.0);
-        assert_eq!(scale_cost(&CostFn::Zero, 9.0).eval(100), 0.0);
-    }
-
-    #[test]
     fn rejects_bad_factors() {
         assert!(platform_under_load(&platform(), &[1.0]).is_err());
+        for bad in [0.0, -2.0, f64::NAN, f64::INFINITY] {
+            let err = platform_under_load(&platform(), &[1.0, bad, 1.0]).unwrap_err();
+            assert!(
+                matches!(&err, PlanError::InvalidPlatform(m) if m.contains("invalid load factor")),
+                "{err:?}"
+            );
+        }
     }
 }

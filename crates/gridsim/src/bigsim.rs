@@ -3,21 +3,21 @@
 //! [`crate::sim::simulate_scatter`] drives the generic [`crate::engine`]:
 //! every event is a boxed closure over an `Rc<RefCell<...>>` state cell.
 //! That is the right shape for extensibility, but at 10⁵–10⁶ ranks the
-//! per-event allocation and indirection dominate. This module simulates
-//! the *same model* — single-port root, scatter order, deferred compute —
-//! with bare-rank events stored inline in a [`CalendarQueue`]: no
-//! allocation per event, no reference counting, no dynamic dispatch. The
-//! root's sequential send chain never even enters the queue (see
-//! [`simulate_star`]); only pending `ComputeEnd`s do.
+//! per-event allocation and indirection dominate. On an ideal (no
+//! background load) star the schedule needs no event queue at all: it is
+//! Eq. (1), one prefix sum of the transfers on the root's port
+//! ([`Timeline::from_durations`], the builder the planner's
+//! [`gs_scatter::distribution::timeline`] uses too). [`simulate_star`]
+//! computes that timeline directly and, when asked, derives the event
+//! stream from it in the classic engine's pop order.
 //!
-//! The two paths are observationally equivalent: on an ideal (no
-//! background load) platform, [`simulate_star`] produces the identical
-//! event stream, timeline, and makespan as `simulate_scatter`, bit for
-//! bit — enforced by unit tests here and `tests/proptest_simscale.rs`.
-//! Background-load traces are deliberately out of scope; use the classic
-//! engine for perturbed runs.
+//! The two paths are observationally equivalent: on an ideal platform,
+//! [`simulate_star`] produces the identical event stream, timeline, and
+//! makespan as `simulate_scatter`, bit for bit — enforced by unit tests
+//! here and `tests/proptest_simscale.rs`. Background-load traces are
+//! deliberately out of scope; use the classic engine for perturbed runs.
 //!
-//! Processor identity is a bare index (`u32`) — at million-rank scale the
+//! Processor identity is a bare index — at million-rank scale the
 //! simulator never touches a name `String`. When names matter (small-p
 //! trace emission, `gs report`), intern them through
 //! [`gs_scatter::intern::NameInterner`] and resolve on the way out.
@@ -26,7 +26,6 @@ use gs_scatter::cost::Processor;
 use gs_scatter::distribution::Timeline;
 use gs_scatter::obs::span;
 
-use crate::calendar::CalendarQueue;
 use crate::engine::{SimEvent, SimEventKind};
 
 /// Result of one fast-path scatter simulation.
@@ -39,9 +38,6 @@ pub struct BigScatterSim {
     /// Simulator events processed (4 per processor: send start/end,
     /// compute start/end) — the unit `sim_events_total` counts.
     pub events_processed: u64,
-    /// Peak pending-event count in the calendar queue (pending
-    /// `ComputeEnd`s; the root's in-flight send is held outside it).
-    pub queue_peak: usize,
     /// Full event trace, in execution order. Empty unless the run was
     /// asked to `record` (at 10⁶ ranks the trace alone is ~100 MB).
     pub events: Vec<SimEvent>,
@@ -61,136 +57,60 @@ pub fn star_durations(procs: &[&Processor], counts: &[usize]) -> (Vec<f64>, Vec<
 /// durations. `record` keeps the full [`SimEvent`] stream (the
 /// equivalence tests compare it with the classic engine's; skip it at
 /// large `p` — the trace of a run is built from its timeline).
-///
-/// Event order — including `(time, seq)` tie-breaks — replicates
-/// [`crate::sim::simulate_scatter`] exactly: the send chain advances the
-/// root's port in scatter order, each block's compute is scheduled
-/// *before* the next send, so a zero-work compute that ties with the
-/// next transfer's completion still pops first.
-///
-/// The single-port root has exactly one transfer in flight at any time,
-/// so its `SendEnd` never needs to live in the queue: it is held as a
-/// local `(time, seq, rank)` and raced against the calendar's minimum
-/// `ComputeEnd` by `(time, seq)`. Sequence numbers are still allocated
-/// in the classic engine's insertion order (compute first, next send
-/// second), so the processed-event order is unchanged — only the queue
-/// traffic halves.
 pub fn simulate_star(comm: &[f64], work: &[f64], record: bool) -> BigScatterSim {
-    if record {
-        simulate_star_impl::<true>(comm, work)
-    } else {
-        simulate_star_impl::<false>(comm, work)
-    }
-}
-
-/// Monomorphized body of [`simulate_star`] — `RECORD` is a compile-time
-/// flag so the unrecorded (large-`p`) loop carries no trace branches.
-fn simulate_star_impl<const RECORD: bool>(comm: &[f64], work: &[f64]) -> BigScatterSim {
     assert_eq!(comm.len(), work.len(), "one work term per transfer");
-    // One span per *phase*, never per event: at 10⁶ ranks even a no-op
-    // per-event guard would dominate the bare-rank loop.
+    // One span per run, never per rank.
     let mut star_span = span::span("sim", "sim.star");
     let p = comm.len();
-    assert!(p <= u32::MAX as usize, "rank index must fit u32");
-    let mut timeline = Timeline {
-        comm_start: vec![0.0; p],
-        comm_end: vec![0.0; p],
-        finish: vec![0.0; p],
-    };
-    let mut events: Vec<SimEvent> = Vec::with_capacity(if RECORD { 4 * p } else { 0 });
-    // Pending ComputeEnds, payload = rank. The bucket `Vec`s own every
-    // pending event inline (this is the "arena"); nothing is boxed.
-    // Seed the bucket width with the mean send gap — the single-port
-    // root emits one ComputeEnd per transfer, so that is the mean event
-    // spacing and puts ~1 entry per bucket from the start.
-    let mean_gap = comm.iter().sum::<f64>() / p.max(1) as f64;
-    let mut q: CalendarQueue<u32> = if mean_gap.is_finite() && mean_gap > 0.0 {
-        CalendarQueue::with_width(mean_gap)
-    } else {
-        CalendarQueue::new()
-    };
-    let mut seq = 0u64;
-    let mut now = 0.0f64;
-    // The root's one in-flight transfer: (end time, seq, rank).
-    let mut pending_send: Option<(f64, u64, u32)> = None;
-    if p > 0 {
-        if RECORD {
-            events.push(SimEvent { time: 0.0, kind: SimEventKind::SendStart, proc: 0 });
-        }
-        timeline.comm_start[0] = 0.0;
-        seq += 1;
-        pending_send = Some((now + comm[0], seq, 0));
-    }
-    // Cached q.peek(): pushes can only lower the minimum (one compare),
-    // so a full locate is needed only after a pop.
-    let mut qmin: Option<(f64, u64)> = None;
     let run_span = span::span("sim", "sim.run");
-    loop {
-        let take_send = match (pending_send, qmin) {
-            (Some((st, ss, _)), Some((qt, qs))) => st < qt || (st == qt && ss < qs),
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => break,
-        };
-        if take_send {
-            let (t, _, i) = pending_send.take().expect("send branch requires a pending send");
-            debug_assert!(t >= now, "time must be monotone");
-            now = t;
-            let i = i as usize;
-            if RECORD {
-                events.push(SimEvent { time: t, kind: SimEventKind::SendEnd, proc: i });
-                events.push(SimEvent { time: t, kind: SimEventKind::ComputeStart, proc: i });
-            }
-            timeline.comm_end[i] = t;
-            // Compute first, next send second — the classic engine's
-            // insertion order, hence its tie-break order.
-            seq += 1;
-            let ct = t + work[i];
-            q.push(ct, seq, i as u32);
-            qmin = match qmin {
-                Some((qt, qs)) if qt < ct || (qt == ct && qs < seq) => Some((qt, qs)),
-                _ => Some((ct, seq)),
-            };
-            if i + 1 < p {
-                if RECORD {
-                    events.push(SimEvent { time: t, kind: SimEventKind::SendStart, proc: i + 1 });
-                }
-                timeline.comm_start[i + 1] = t;
-                seq += 1;
-                pending_send = Some((t + comm[i + 1], seq, (i + 1) as u32));
-            }
-        } else {
-            let (t, _, i) = q.pop().expect("non-send branch requires a queued compute");
-            debug_assert!(t >= now, "time must be monotone");
-            now = t;
-            if RECORD {
-                events.push(SimEvent { time: t, kind: SimEventKind::ComputeEnd, proc: i as usize });
-            }
-            timeline.finish[i as usize] = t;
-            qmin = q.peek();
-        }
-    }
+    let timeline = Timeline::from_durations(comm.iter().copied().zip(work.iter().copied()));
+    let makespan = timeline.makespan();
+    let events = if record { star_events(&timeline) } else { Vec::new() };
     drop(run_span);
     let events_processed = 4 * p as u64;
-    let stats = q.stats();
     star_span.attr("p", p);
     star_span.attr("events", events_processed);
-    star_span.attr("queue_peak", stats.peak_len);
-    star_span.attr("makespan", now);
+    star_span.attr("makespan", makespan);
     let reg = gs_scatter::metrics::Registry::global();
     reg.counter("sim_runs_total", "discrete-event scatter simulations run").inc();
     reg.counter("sim_events_total", "simulator events processed").add(events_processed);
-    reg.gauge("sim_queue_depth", "peak pending events in the last simulator run")
-        .set(stats.peak_len as f64);
-    reg.counter("sim_queue_resizes_total", "calendar-queue bucket-array rebuilds")
-        .add(stats.resizes);
-    BigScatterSim {
-        timeline,
-        makespan: now,
-        events_processed,
-        queue_peak: stats.peak_len,
-        events,
+    BigScatterSim { timeline, makespan, events_processed, events }
+}
+
+/// The event stream the classic engine records for `tl`'s star.
+///
+/// The engine pops its two scheduled kinds in `(time, seq)` order, and
+/// `SendEnd(i)` schedules `ComputeEnd(i)` before `SendEnd(i + 1)`, so
+/// their insertion counters order as `2i` and `2i + 1`. Each popped
+/// `SendEnd(i)` records the compute start and the next transfer's start
+/// at the same instant.
+fn star_events(tl: &Timeline) -> Vec<SimEvent> {
+    let p = tl.finish.len();
+    let mut popped: Vec<(f64, usize)> = Vec::with_capacity(2 * p);
+    for i in 0..p {
+        popped.push((tl.comm_end[i], 2 * i));
+        popped.push((tl.finish[i], 2 * i + 1));
     }
+    popped.sort_unstable_by(|a, b| {
+        a.0.partial_cmp(&b.0).expect("event times must not be NaN").then(a.1.cmp(&b.1))
+    });
+    let mut events = Vec::with_capacity(4 * p);
+    if p > 0 {
+        events.push(SimEvent { time: 0.0, kind: SimEventKind::SendStart, proc: 0 });
+    }
+    for (time, seq) in popped {
+        let proc = seq / 2;
+        if seq % 2 == 1 {
+            events.push(SimEvent { time, kind: SimEventKind::ComputeEnd, proc });
+            continue;
+        }
+        events.push(SimEvent { time, kind: SimEventKind::SendEnd, proc });
+        events.push(SimEvent { time, kind: SimEventKind::ComputeStart, proc });
+        if proc + 1 < p {
+            events.push(SimEvent { time, kind: SimEventKind::SendStart, proc: proc + 1 });
+        }
+    }
+    events
 }
 
 /// A deterministic synthetic heterogeneous star: per-position
@@ -336,13 +256,7 @@ mod tests {
         let sim = simulate_synthetic_star(50_000, 500_000);
         assert_eq!(sim.events_processed, 4 * 50_000);
         assert!(sim.makespan > 0.0);
-        assert!(sim.queue_peak > 0);
         // Every rank finished after its transfer completed.
-        assert!(sim
-            .timeline
-            .finish
-            .iter()
-            .zip(&sim.timeline.comm_end)
-            .all(|(f, c)| f >= c));
+        assert!(sim.timeline.finish.iter().zip(&sim.timeline.comm_end).all(|(f, c)| f >= c));
     }
 }

@@ -5,10 +5,10 @@
 //! roots, overlapping rounds, failures) slot in without restructuring.
 //!
 //! Pending events live in a binary heap popped in strictly ascending
-//! `(time, seq)` order (see `docs/simulation.md`). The heap beats the
-//! [calendar queue](crate::calendar) on every star this engine is used
-//! for; the calendar serves only the arena fast path
-//! ([`crate::bigsim`]), which is what takes simulation past 10⁶ ranks.
+//! `(time, seq)` order (see `docs/simulation.md`). An ideal star needs
+//! no queue at all: the fast path ([`crate::bigsim`]), which takes
+//! simulation past 10⁶ ranks, builds its Eq. (1) timeline with one
+//! prefix sum and derives this engine's event order from it.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;

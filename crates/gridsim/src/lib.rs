@@ -29,7 +29,6 @@
 #![deny(missing_docs)]
 
 pub mod bigsim;
-pub mod calendar;
 pub mod chart;
 pub mod engine;
 pub mod export;
@@ -45,7 +44,6 @@ pub use bigsim::{
     proportional_counts, simulate_star, simulate_synthetic_star, star_durations, synthetic_star,
     BigScatterSim,
 };
-pub use calendar::{CalendarQueue, CalendarStats};
 pub use engine::{Engine, SimEvent, SimEventKind};
 pub use fault::{simulate_plan_ft, simulate_scatter_ft, FtScatterSim};
 pub use installments::{simulate_installments, split_installments, InstallmentRun};

@@ -1,12 +1,10 @@
 //! Determinism contract of the million-rank simulation stack
 //! (`docs/simulation.md`), property-tested:
 //!
-//! * the [`CalendarQueue`] pops in exactly the reference `(time, seq)`
-//!   order — FIFO among ties — under arbitrary interleaved pushes and
-//!   pops on tie-heavy time grids;
-//! * the arena fast path ([`simulate_star`]) matches the classic
-//!   [`Engine`] (via `simulate_scatter_on`) bit for bit on random stars,
-//!   zero-work ties included;
+//! * the prefix-sum fast path ([`simulate_star`]) matches the classic
+//!   [`Engine`] (via `simulate_scatter_on`) bit for bit on random stars —
+//!   event stream, timeline and makespan — zero-work ties and ranks
+//!   finishing at the same instant included;
 //! * the pooled gs-minimpi runtime on a bounded pool
 //!   ([`run_world_pooled`]) is bit-identical to one worker per rank
 //!   ([`run_world`]) — payloads, virtual clocks, and communication
@@ -15,8 +13,7 @@
 //!   plans (traces and incidents included).
 
 use grid_scatter::gridsim::{
-    proportional_counts, simulate_scatter_on, simulate_star, synthetic_star, CalendarQueue,
-    Engine, SimConfig,
+    proportional_counts, simulate_scatter_on, simulate_star, synthetic_star, Engine, SimConfig,
 };
 use grid_scatter::minimpi::{run_world, run_world_pooled, FtConfig, TimeModel, WorldConfig};
 use grid_scatter::scatter::cost::{CostFn, Processor};
@@ -25,99 +22,30 @@ use proptest::prelude::*;
 
 const ITEM_BYTES: u64 = 8;
 
-/// One interleaved queue operation: `Push(delta_step)` schedules at
-/// `now + delta_step * 0.25` (step 0 forces ties at the current
-/// minimum), `Pop` drains one event.
-#[derive(Debug, Clone, Copy)]
-enum QueueOp {
-    Push(u8),
-    Pop,
-}
-
-fn queue_op() -> impl Strategy<Value = QueueOp> {
-    // 3:2 push:pop mix; the vendored proptest has no `prop_oneof`, so
-    // weight by hand over a small integer.
-    (0u8..5, 0u8..4)
-        .prop_map(|(k, d)| if k < 3 { QueueOp::Push(d) } else { QueueOp::Pop })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Calendar pops follow the reference min-`(time, seq)` order under
-    /// interleaved pushes and pops, with times drawn from a 4-value
-    /// grid so every bucket sees collisions.
-    #[test]
-    fn calendar_pops_in_reference_order(
-        ops in proptest::collection::vec(queue_op(), 0..200),
-    ) {
-        let mut q: CalendarQueue<u32> = CalendarQueue::new();
-        let mut model: Vec<(f64, u64, u32)> = Vec::new();
-        let mut seq = 0u64;
-        let mut payload = 0u32;
-        let mut now = 0.0f64;
-        let check_pop = |q: &mut CalendarQueue<u32>, model: &mut Vec<(f64, u64, u32)>,
-                             now: &mut f64| {
-            // Reference: strict min by (time, seq) — times are finite
-            // and non-negative, so partial_cmp is total here.
-            let best = model
-                .iter()
-                .enumerate()
-                .min_by(|(_, a), (_, b)| {
-                    a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1))
-                })
-                .map(|(i, _)| i);
-            match (q.pop(), best) {
-                (None, None) => {}
-                (Some((t, s, v)), Some(i)) => {
-                    let (mt, ms, mv) = model.remove(i);
-                    prop_assert_eq!(t.to_bits(), mt.to_bits(), "pop time");
-                    prop_assert_eq!(s, ms, "FIFO among ties");
-                    prop_assert_eq!(v, mv, "payload");
-                    *now = t;
-                }
-                (got, want) => {
-                    prop_assert!(false, "pop mismatch: queue {got:?} vs model index {want:?}");
-                }
-            }
-            Ok(())
-        };
-        for op in ops {
-            match op {
-                QueueOp::Push(step) => {
-                    let t = now + f64::from(step) * 0.25;
-                    seq += 1;
-                    payload += 1;
-                    q.push(t, seq, payload);
-                    model.push((t, seq, payload));
-                }
-                QueueOp::Pop => check_pop(&mut q, &mut model, &mut now)?,
-            }
-        }
-        while !model.is_empty() || !q.is_empty() {
-            check_pop(&mut q, &mut model, &mut now)?;
-        }
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The arena fast path matches the classic engine bit for bit on
-    /// random stars — zero-work and zero-comm ties included, the same
+    /// The fast path matches the classic engine bit for bit on random
+    /// stars — zero-work and zero-comm ties included, the same
     /// equivalence `sim_scale` asserts at 10^7 ranks.
     #[test]
     fn fast_path_matches_classic_engine(
         p in 1usize..60,
         grid in proptest::collection::vec((0usize..3, 0usize..3), 6),
         per in 1u64..12,
+        dyadic in any::<bool>(),
     ) {
         // Zero entries included: zero-comm and zero-work transfers are
         // where tie-breaking actually decides the event order.
         const BETA_GRID: [f64; 3] = [0.0, 1e-4, 3e-4];
         const ALPHA_GRID: [f64; 3] = [0.0, 2e-3, 7e-3];
-        let betas: Vec<f64> = (0..p).map(|i| BETA_GRID[grid[i % grid.len()].0]).collect();
-        let alphas: Vec<f64> = (0..p).map(|i| ALPHA_GRID[grid[i % grid.len()].1]).collect();
+        // Powers of two add without rounding, so different ranks finish
+        // at bit-equal instants, and at the instant a transfer ends.
+        const DYADIC_GRID: [f64; 3] = [0.0, 1.0 / 4096.0, 1.0 / 2048.0];
+        let (beta_grid, alpha_grid) =
+            if dyadic { (DYADIC_GRID, DYADIC_GRID) } else { (BETA_GRID, ALPHA_GRID) };
+        let betas: Vec<f64> = (0..p).map(|i| beta_grid[grid[i % grid.len()].0]).collect();
+        let alphas: Vec<f64> = (0..p).map(|i| alpha_grid[grid[i % grid.len()].1]).collect();
         let counts: Vec<u64> = vec![per; p];
         let comm: Vec<f64> = betas.iter().zip(&counts).map(|(b, &c)| b * c as f64).collect();
         let work: Vec<f64> = alphas.iter().zip(&counts).map(|(a, &c)| a * c as f64).collect();
@@ -136,7 +64,7 @@ proptest! {
 
         prop_assert_eq!(fast.makespan.to_bits(), classic.makespan.to_bits());
         prop_assert_eq!(&fast.timeline, &classic.timeline);
-        prop_assert_eq!(fast.events.len(), classic.events.len());
+        prop_assert_eq!(&fast.events, &classic.events);
     }
 }
 
